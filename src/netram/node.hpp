@@ -2,12 +2,14 @@
 // and crash state.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <string>
-#include <vector>
 
+#include "core/sync.hpp"
 #include "netram/arena_allocator.hpp"
 #include "sim/failure.hpp"
 #include "sim/sim_time.hpp"
@@ -19,6 +21,13 @@ using NodeId = std::uint32_t;
 /// One workstation in the cluster.  All mutation goes through Cluster so
 /// that liveness checks and cost accounting are applied uniformly; Node
 /// itself only owns state.
+///
+/// The arena models the full `arena_bytes` of DRAM (the allocator and the
+/// bounds checks see all of it), but host memory is touched only up to a
+/// high-water mark: the furthest byte mem() has ever handed out.  Bytes
+/// past the mark logically hold the fill of the last crash or restart
+/// (0xDB or 0) and receive it when mem() first reaches them, so every byte
+/// a caller can observe is the same as with a fully materialised arena.
 class Node {
  public:
   Node(NodeId id, std::string name, std::uint64_t arena_bytes, std::uint32_t power_supply);
@@ -56,18 +65,47 @@ class Node {
 
   [[nodiscard]] ArenaAllocator& allocator() noexcept { return allocator_; }
   [[nodiscard]] const ArenaAllocator& allocator() const noexcept { return allocator_; }
-  [[nodiscard]] std::uint64_t arena_bytes() const noexcept { return arena_.size(); }
+  /// Modelled DRAM capacity.
+  [[nodiscard]] std::uint64_t arena_bytes() const noexcept { return arena_bytes_; }
+  /// High-water mark: host memory behind [0, touched_bytes()) is the only
+  /// part of the arena ever written; crash() and restart() cost this much.
+  [[nodiscard]] std::uint64_t touched_bytes() const noexcept {
+    return mark_.load(std::memory_order_acquire);
+  }
 
  private:
+  /// Unmaps the backing.  Anonymous mmap rather than calloc: its pages are
+  /// zero and untouched until written under every allocator, including the
+  /// sanitizers', whose calloc would clear and shadow all of them.
+  struct Unmap {
+    std::uint64_t bytes;
+    void operator()(std::byte* p) const noexcept;
+  };
+
+  /// Bounds-checks [offset, offset + size), moves the mark past it and
+  /// returns its first byte.  Const because it changes no observable byte.
+  [[nodiscard]] std::byte* touch(std::uint64_t offset, std::uint64_t size) const;
+
+  /// Writes `fill` over [0, mark) and makes it the byte untouched memory
+  /// holds from now on.
+  void wipe(std::byte fill);
+
   NodeId id_;
   std::string name_;
-  std::vector<std::byte> arena_;
+  std::uint64_t arena_bytes_;
+  std::unique_ptr<std::byte[], Unmap> backing_;
   ArenaAllocator allocator_;
   std::uint32_t power_supply_;
   bool crashed_ = false;
   std::uint64_t crash_epoch_ = 0;
   sim::FailureKind last_failure_ = sim::FailureKind::kSoftwareCrash;
   sim::SimTime hang_until_ = 0;
+
+  // Worker threads call mem() concurrently: the mark is read lock-free on
+  // the common path and only advanced (and filled up to) under the lock.
+  mutable sync::Mutex mark_mu_;
+  mutable std::atomic<std::uint64_t> mark_{0};
+  std::byte untouched_ PERSEAS_GUARDED_BY(mark_mu_) = std::byte{0};
 };
 
 }  // namespace perseas::netram

@@ -11,15 +11,10 @@ CostEntry& CostLedger::entry_for_top() {
   if (stack.last_hit < entries_.size() && entries_[stack.last_hit].key == key) {
     return entries_[stack.last_hit];
   }
-  for (std::size_t i = 0; i < entries_.size(); ++i) {
-    if (entries_[i].key == key) {
-      stack.last_hit = i;
-      return entries_[i];
-    }
-  }
-  entries_.push_back(CostEntry{key, 0, 0});
-  stack.last_hit = entries_.size() - 1;
-  return entries_.back();
+  const auto [it, inserted] = index_.try_emplace(key, entries_.size());
+  if (inserted) entries_.push_back(CostEntry{key, 0, 0});
+  stack.last_hit = it->second;
+  return entries_[it->second];
 }
 
 void CostLedger::on_advance(sim::SimDuration d) noexcept {
@@ -30,6 +25,7 @@ void CostLedger::on_advance(sim::SimDuration d) noexcept {
 void CostLedger::on_reset() noexcept {
   sync::LockGuard lock(mu_);
   entries_.clear();
+  index_.clear();
   for (auto& [worker, stack] : stacks_) stack.last_hit = 0;
 }
 
@@ -117,6 +113,7 @@ Json CostLedger::to_json() const {
 void CostLedger::clear() noexcept {
   sync::LockGuard lock(mu_);
   entries_.clear();
+  index_.clear();
   stacks_.clear();
 }
 

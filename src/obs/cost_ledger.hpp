@@ -34,7 +34,9 @@
 // is itself the sum of every thread's charges (see sim::ThreadClock).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -56,6 +58,17 @@ struct CostKey {
 
   [[nodiscard]] bool operator==(const CostKey& o) const noexcept {
     return txn == o.txn && phase == o.phase && layer == o.layer && channel == o.channel;
+  }
+};
+
+/// Hash of every CostKey field, for CostLedger's row index.
+struct CostKeyHash {
+  [[nodiscard]] std::size_t operator()(const CostKey& k) const noexcept {
+    std::size_t h = std::hash<std::uint64_t>{}(k.txn);
+    for (const std::string* s : {&k.phase, &k.layer, &k.channel}) {
+      h ^= std::hash<std::string>{}(*s) + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
+    }
+    return h;
   }
 };
 
@@ -124,6 +137,8 @@ class CostLedger final : public sim::SimClock::ChargeObserver {
 
   mutable sync::Mutex mu_;
   std::vector<CostEntry> entries_ PERSEAS_GUARDED_BY(mu_);
+  /// Row index of each key in entries_ (which keeps first-charge order).
+  std::unordered_map<CostKey, std::size_t, CostKeyHash> index_ PERSEAS_GUARDED_BY(mu_);
   /// Per-worker scope stacks, keyed by sim::current_worker_id() (0 = main
   /// thread / any thread without a sim::ThreadClock).
   std::unordered_map<std::uint32_t, ScopeStack> stacks_ PERSEAS_GUARDED_BY(mu_);

@@ -72,16 +72,14 @@ TEST(McDiscovery, FindsCommitPointsOnPerseas) {
 // The tentpole guarantee: exhaustively crashing PERSEAS at every discovered
 // (point, hit, kind) — including once inside every recovery point reached
 // (nested) — finds no violation.
-// (One kind and a small scripted workload keep this test fast; CI runs the
-// full debit-credit sweep over every kind via tools/perseas-mc.)
+// (The same sweep as `perseas-mc --workload=debit-credit --txns=4
+// --nested=1 --exhaustive`: every kind, four transactions.)
 TEST(McExplore, PerseasExhaustiveNestedIsClean) {
   McOptions options;
   options.engine = "perseas";
-  options.workload = "scripted";
-  options.script = "0:16 64:16\n128:32\n";
-  options.txns = 2;
+  options.workload = "debit-credit";
+  options.txns = 4;
   options.nested = 1;
-  options.kinds = {sim::FailureKind::kSoftwareCrash};
   const McResult result = ModelChecker(options).run();
   EXPECT_TRUE(result.ok()) << (result.violations.empty()
                                    ? std::string("?")

@@ -162,5 +162,33 @@ TEST_F(ClusterTest, StatsResetWorks) {
   EXPECT_EQ(c.stats().control_rpcs, 0u);
 }
 
+// Crash and restart cost what the workload touched, not the modelled 64 MB:
+// a hundred cycles over a paper-sized two-node cluster stay small in host
+// memory while the data path keeps its crash semantics.
+TEST_F(ClusterTest, CrashRestartCyclesTouchOnlyWhatWasHandedOut) {
+  ClusterConfig cfg;
+  cfg.node_count = 2;
+  cfg.arena_bytes_per_node = 64ull << 20;
+  Cluster c(profile_, cfg);
+  const auto data = bytes_of("persistent?");
+  std::vector<std::byte> out(data.size());
+  for (int cycle = 0; cycle < 100; ++cycle) {
+    const auto off = c.node(1).allocator().allocate(4096);
+    ASSERT_TRUE(off);
+    c.remote_write(0, 1, *off, data);
+    c.remote_read(0, 1, *off, out);
+    ASSERT_EQ(out, data);
+    c.crash_node(1, sim::FailureKind::kPowerOutage);
+    ASSERT_EQ(c.node(1).mem(*off, 1)[0], std::byte{0xDB});
+    c.restart_node(1);
+    c.remote_read(0, 1, *off, out);
+    ASSERT_EQ(out, std::vector<std::byte>(data.size()));
+  }
+  for (NodeId id = 0; id < 2; ++id) {
+    EXPECT_EQ(c.node(id).arena_bytes(), 64ull << 20);
+    EXPECT_LE(c.node(id).touched_bytes(), 4096u);
+  }
+}
+
 }  // namespace
 }  // namespace perseas::netram

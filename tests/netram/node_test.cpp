@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <span>
 
 namespace perseas::netram {
 namespace {
@@ -57,6 +59,90 @@ TEST(Node, RestartZeroesMemoryAndResetsAllocator) {
   EXPECT_EQ(n.crash_epoch(), 1u);
   n.crash(sim::FailureKind::kHardwareFault);
   EXPECT_EQ(n.crash_epoch(), 2u);
+}
+
+// The arena keeps its modelled capacity but host memory is touched only up
+// to the furthest byte mem() has handed out; the cases below pin that every
+// byte a caller can observe is the same as with a fully materialised arena.
+
+bool all_bytes_are(std::span<const std::byte> span, std::byte want) {
+  return std::all_of(span.begin(), span.end(), [want](std::byte b) { return b == want; });
+}
+
+TEST(Node, NothingIsTouchedUntilMemHandsItOut) {
+  Node n(0, "n", 64ull << 20, 0);
+  EXPECT_EQ(n.arena_bytes(), 64ull << 20);
+  EXPECT_EQ(n.touched_bytes(), 0u);
+  ASSERT_TRUE(n.allocator().allocate(4096));  // allocating touches nothing
+  EXPECT_EQ(n.touched_bytes(), 0u);
+  (void)n.mem(100, 28);
+  EXPECT_EQ(n.touched_bytes(), 128u);
+  (void)n.mem(0, 8);  // below the mark: unmoved
+  EXPECT_EQ(n.touched_bytes(), 128u);
+}
+
+TEST(Node, SpanHeldAcrossCrashReadsDeadBytes) {
+  Node n(0, "n", 4096, 0);
+  auto span = n.mem(64, 32);
+  std::memset(span.data(), 0x42, span.size());
+  n.crash(sim::FailureKind::kPowerOutage);
+  EXPECT_TRUE(all_bytes_are(span, std::byte{0xDB}));
+  n.restart();
+  EXPECT_TRUE(all_bytes_are(span, std::byte{0}));
+}
+
+TEST(Node, FirstTouchPastTheMarkAfterCrashReadsDeadBytes) {
+  Node n(0, "n", 4096, 0);
+  std::memset(n.mem(0, 64).data(), 0x42, 64);
+  n.crash(sim::FailureKind::kSoftwareCrash);
+  EXPECT_TRUE(all_bytes_are(n.mem(1024, 64), std::byte{0xDB}));
+  // Everything up to the new mark reads as crashed DRAM, old and new.
+  EXPECT_TRUE(all_bytes_are(n.mem(0, 1088), std::byte{0xDB}));
+  EXPECT_EQ(n.touched_bytes(), 1088u);
+}
+
+TEST(Node, FirstTouchPastTheMarkAfterRestartReadsZeros) {
+  Node n(0, "n", 4096, 0);
+  std::memset(n.mem(0, 64).data(), 0x42, 64);
+  n.crash(sim::FailureKind::kSoftwareCrash);
+  n.restart();
+  EXPECT_TRUE(all_bytes_are(n.mem(2048, 64), std::byte{0}));
+  EXPECT_TRUE(all_bytes_are(n.mem(0, 4096), std::byte{0}));
+}
+
+TEST(Node, OutOfRangeMemThrowsAndLeavesTheMarkUnmoved) {
+  Node n(0, "n", 256, 0);
+  (void)n.mem(0, 8);
+  EXPECT_THROW((void)n.mem(0, 257), std::out_of_range);
+  EXPECT_THROW((void)n.mem(200, 57), std::out_of_range);
+  EXPECT_THROW((void)n.mem(~0ULL, 2), std::out_of_range);
+  EXPECT_EQ(n.touched_bytes(), 8u);
+}
+
+TEST(Node, ConstMemFollowsTheSameRules) {
+  Node n(0, "n", 256, 0);
+  const Node& view = n;
+  EXPECT_TRUE(all_bytes_are(view.mem(0, 16), std::byte{0}));
+  EXPECT_EQ(view.touched_bytes(), 16u);
+  n.crash(sim::FailureKind::kHardwareFault);
+  EXPECT_TRUE(all_bytes_are(view.mem(0, 64), std::byte{0xDB}));
+  EXPECT_EQ(view.touched_bytes(), 64u);
+  EXPECT_THROW((void)view.mem(0, 257), std::out_of_range);
+  EXPECT_EQ(view.touched_bytes(), 64u);
+  n.restart();
+  EXPECT_TRUE(all_bytes_are(view.mem(32, 224), std::byte{0}));
+  EXPECT_EQ(view.touched_bytes(), 256u);
+}
+
+TEST(Node, ZeroByteArena) {
+  Node n(0, "n", 0, 0);
+  EXPECT_EQ(n.arena_bytes(), 0u);
+  EXPECT_TRUE(n.mem(0, 0).empty());
+  EXPECT_THROW((void)n.mem(0, 1), std::out_of_range);
+  n.crash(sim::FailureKind::kSoftwareCrash);
+  n.restart();
+  EXPECT_EQ(n.touched_bytes(), 0u);
+  EXPECT_FALSE(n.allocator().allocate(1));
 }
 
 TEST(Node, HangStateIsJustATimestamp) {

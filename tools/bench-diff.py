@@ -9,12 +9,16 @@ its identifying fields: year / txn_bytes / engine / coalesce), reports every
 numeric delta, and — when the documents carry the per-transaction cost
 ledger — attributes the overall simulated-time delta to ledger phases, so a
 latency regression arrives pre-diagnosed ("+4.1% total, +92% of it in
-remote_undo") instead of as a bare number.
+remote_undo") instead of as a bare number.  It also checks that the
+"metrics" sections (counters / gauges / histograms) name the same keys: a
+key added or removed relative to the baseline means the snapshot is stale
+or an export was lost, and fails the gate.
 
 Exit status:
     0  no metric moved beyond the tolerance (default 0%: the simulation is
        deterministic, so the committed snapshot must match bit-for-bit)
-    1  at least one unexplained regression (or the inputs are invalid)
+    1  at least one unexplained regression, a metric key added or removed,
+       or invalid inputs
 
 Stdlib only: runs on any CI python3 without installs.
 """
@@ -29,6 +33,8 @@ ID_FIELDS = ("kind", "year", "txn_bytes", "engine", "coalesce")
 # Metrics where a *decrease* is the regression direction.
 HIGHER_IS_BETTER = {"txns_per_second", "perseas_tps", "rvm_disk_tps",
                     "remote_wal_tps", "speedup"}
+# Sections of the "metrics" document whose key sets must match.
+METRIC_SECTIONS = ("counters", "gauges", "histograms")
 
 
 def fail(msg):
@@ -70,6 +76,17 @@ def pct(old, new):
     if old == 0:
         return float("inf") if new != 0 else 0.0
     return (new - old) / old * 100.0
+
+
+def diff_metric_keys(base, cand):
+    """Returns one line per metric key present in only one document."""
+    mb, mc = base.get("metrics") or {}, cand.get("metrics") or {}
+    lines = []
+    for section in METRIC_SECTIONS:
+        kb, kc = set(mb.get(section) or {}), set(mc.get(section) or {})
+        lines += [f"{section} key removed: {k}" for k in sorted(kb - kc)]
+        lines += [f"{section} key added with no baseline: {k}" for k in sorted(kc - kb)]
+    return lines
 
 
 def diff_ledgers(base, cand):
@@ -147,9 +164,18 @@ def main():
     for line in diff_ledgers(base_doc, cand_doc):
         print(f"bench-diff:{line}")
 
+    key_changes = diff_metric_keys(base_doc, cand_doc)
+    for line in key_changes:
+        print(f"bench-diff: KEY: {line}")
+
     if regressions:
         print(f"bench-diff: FAIL: {len(regressions)} unexplained regression(s) "
               f"beyond the {tolerance:g}% tolerance", file=sys.stderr)
+        sys.exit(1)
+    if key_changes:
+        print(f"bench-diff: FAIL: {len(key_changes)} metric key(s) added or removed "
+              f"relative to the baseline (regenerate it with tools/bench-trend.sh)",
+              file=sys.stderr)
         sys.exit(1)
     print(f"bench-diff: OK: {len(base)} rows compared, {changes} change(s), "
           f"none beyond the {tolerance:g}% tolerance")

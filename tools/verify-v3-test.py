@@ -4,10 +4,11 @@
 Usage:
     verify-v3-test.py <path-to-perseas-mc> [mc-args...]
 
-Runs a quick exhaustive perseas-mc sweep (--engine=perseas --txns=1, one
-kind — enough to fire the whole commit and recovery windows in a few
-seconds), writes its perseas-mc/1 report to a temp directory, and then
-runs tools/perseas-verify.py --mc-report over it.  Any dynamically fired
+Runs a quick exhaustive perseas-mc sweep (--engine=perseas --txns=2, one
+kind — enough to fire the whole commit and recovery windows, including a
+commit that follows another, in well under a second), writes its
+perseas-mc/1 report to a temp directory, and then runs
+tools/perseas-verify.py --mc-report over it.  Any dynamically fired
 point the static frontend cannot reach fails the test: the verifier lost
 a call edge, and the gap is caught here rather than in CI.
 
@@ -29,7 +30,7 @@ def main():
         print(__doc__, file=sys.stderr)
         return 2
     mc = sys.argv[1]
-    extra = sys.argv[2:] or ["--engine=perseas", "--txns=1", "--exhaustive",
+    extra = sys.argv[2:] or ["--engine=perseas", "--txns=2", "--exhaustive",
                              "--kinds=software"]
 
     with tempfile.TemporaryDirectory(prefix="perseas-verify-v3.") as td:
