@@ -8,9 +8,7 @@
 
 #include "core/event_registry.hpp"
 #include "core/protocol_points.hpp"
-#include "obs/cost_ledger.hpp"
 #include "obs/flight_recorder.hpp"
-#include "sim/clock.hpp"
 
 namespace perseas::core {
 
@@ -210,8 +208,7 @@ Transaction Perseas::begin_transaction() {
   if (!all_mirrored) {
     throw UsageError("begin_transaction: call init_remote_db() after persistent_malloc");
   }
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_counter_ + 1, "begin", "core",
-                                   "cpu");
+  const PhaseScope begin_phase = open_phase(txn_counter_ + 1, TxnPhase::kBegin);
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_begin);
   // The shared log's tail can only rewind when no pushed entry is live;
   // with one transaction at a time this resets at every begin, exactly the
@@ -300,7 +297,7 @@ void Perseas::txn_abort(std::uint64_t txn_id) {
 void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
                                  std::uint64_t offset, std::uint64_t size) {
   sync::LockGuard lock(mu_);
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, "set_range", "core", "cpu");
+  const PhaseScope set_range_phase = open_phase(txn_id, TxnPhase::kSetRange);
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_set_range);
   TxnContext* ctx = find_context(txn_id);
   if (ctx == nullptr) throw UsageError("set_range: transaction is not active");
@@ -320,11 +317,10 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
       // Wait-die's timestamp wait: the older requester spends simulated
       // time parked before retrying.  Charged under its own scope so the
       // ledger attributes the idleness to waiting, not to set_range work.
-      const obs::ScopedCost wait_scope(cluster_->ledger(), txn_id, "cc_wait", "core", "cpu");
-      const sim::StopWatch wait_watch(cluster_->clock());
+      PhaseScope cc_wait = open_phase(txn_id, TxnPhase::kCcWait);
       cluster_->clock().wait(rejection->wait);
       ++stats_.cc_waits;
-      stats_.time_cc_wait += wait_watch.elapsed();
+      cc_wait.end();
     }
     ++stats_.txns_conflicted;
     if (rejection->reason == AbortReason::kWounded) ++stats_.txns_wounded;
@@ -351,9 +347,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     ++stats_.ranges_coalesced;
   }
 
-  const obs::ScopedCost local_scope(cluster_->ledger(), txn_id, "local_undo", "core",
-                                    "local");
-  const sim::StopWatch local_watch(cluster_->clock());
+  PhaseScope local_undo = open_phase(txn_id, TxnPhase::kLocalUndo);
   std::vector<UndoImage> entries;
   entries.reserve(fresh.size());
   std::uint64_t fresh_bytes = 0;
@@ -370,22 +364,17 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   if (config_.coalesce_ranges && fresh_bytes < size) {
     cluster_->flight().record(EventKind::kCoalesce, txn_id, record, size, fresh_bytes);
   }
-  stats_.time_local_undo += local_watch.elapsed();
-  ctx->times().local_undo += local_watch.elapsed();
   stats_.bytes_undo_local += fresh_bytes;
   stats_.bytes_dedup_undo += size - fresh_bytes;
-  if (observer_ && fresh_bytes > 0) {
-    observer_->on_phase(txn_id, TxnPhase::kLocalUndo, local_watch.start(),
-                        local_watch.elapsed(), fresh_bytes, 0);
-  }
+  // Reported only when something was copied: a fully covered declaration
+  // is no local-undo work.
+  local_undo.end(fresh_bytes, 0, /*report=*/fresh_bytes > 0);
   // Notified even when fully covered (nothing copied): crash tests rely on
   // every set_range reaching the same protocol points.
   cluster_->failures().notify(points::kAfterLocalUndo);
 
   if (config_.eager_remote_undo && !entries.empty()) {
-    const obs::ScopedCost remote_scope(cluster_->ledger(), txn_id, "remote_undo", "core",
-                                       "undo");
-    const sim::StopWatch remote_watch(cluster_->clock());
+    PhaseScope remote_undo = open_phase(txn_id, TxnPhase::kRemoteUndo);
     const auto open = open_contexts();
     std::uint64_t pushed = 0;
     for (auto& u : entries) {
@@ -398,12 +387,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
       ctx->undo().push_back(std::move(u));
       ctx->set_pushed_entries(ctx->undo().size());
     }
-    stats_.time_remote_undo += remote_watch.elapsed();
-    ctx->times().remote_undo += remote_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kRemoteUndo, remote_watch.start(),
-                          remote_watch.elapsed(), pushed * mirror_set_.size(), 0);
-    }
+    remote_undo.end(pushed * mirror_set_.size());
   } else {
     for (auto& u : entries) ctx->undo().push_back(std::move(u));
   }
@@ -429,7 +413,7 @@ void Perseas::txn_read_range(std::uint64_t txn_id, std::uint32_t record, std::ui
 
 void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   sync::LockGuard lock(mu_);
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, "commit", "core", "cpu");
+  const PhaseScope commit_phase = open_phase(txn_id, TxnPhase::kCommit);
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_commit);
   TxnContext* ctx = find_context(txn_id);
   if (ctx == nullptr) throw UsageError("commit: no active transaction");
@@ -451,11 +435,9 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   // set.  A failure here is purely local — nothing has been propagated, so
   // the caller aborts exactly as it would after a declare-time conflict.
   {
-    const obs::ScopedCost validate_scope(cluster_->ledger(), txn_id, "validate", "core",
-                                         "cpu");
-    const sim::StopWatch validate_watch(cluster_->clock());
+    PhaseScope validate = open_phase(txn_id, TxnPhase::kValidate);
     const std::uint64_t writer = cc_->on_validate(*ctx);
-    stats_.time_validate += validate_watch.elapsed();
+    validate.end();
     if (writer != 0) {
       ++stats_.txns_conflicted;
       ++stats_.txns_validation_failed;
@@ -472,9 +454,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     // tail is safe here because lazy pushes happen only inside this
     // synchronous commit — no other open transaction has live entries.
     undo_log_.reset_tail();
-    const obs::ScopedCost remote_scope(cluster_->ledger(), txn_id, "remote_undo", "core",
-                                       "undo");
-    const sim::StopWatch remote_watch(cluster_->clock());
+    PhaseScope remote_undo = open_phase(txn_id, TxnPhase::kRemoteUndo);
     std::uint64_t total = 0;
     for (const auto& u : ctx->undo()) {
       const std::uint64_t needed = undo_entry_bytes(u.before.size());
@@ -497,12 +477,8 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
       first = false;
       cluster_->failures().notify(points::kAfterRemoteUndo);
     }
-    stats_.time_remote_undo += remote_watch.elapsed();
-    ctx->times().remote_undo += remote_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kRemoteUndo, remote_watch.start(),
-                          remote_watch.elapsed(), total * mirror_set_.size(), 0);
-    }
+    // Reported even for a read-only transaction's empty push.
+    remote_undo.end(total * mirror_set_.size());
   }
 
   if (ctx->undo().empty()) {  // read-only transaction: nothing to propagate
@@ -522,23 +498,14 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     // roll it back with the remote undo log.  The announcement carries the
     // shared log's exact tail, so recovery can prove it parsed every entry
     // — this transaction's and any open neighbour's interleaved with them.
-    const sim::StopWatch set_watch(cluster_->clock());
     {
-      const obs::ScopedCost flag_scope(cluster_->ledger(), txn_id, "flag_set", "core",
-                                       "flag");
+      PhaseScope flag_set = open_phase(txn_id, TxnPhase::kFlagSet);
       mirror_set_.store_flag(m, txn_id, undo_log_.tail(), netram::StreamHint::kNewBurst);
-    }
-    stats_.time_commit_flags += set_watch.elapsed();
-    ctx->times().commit_flags += set_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kFlagSet, set_watch.start(), set_watch.elapsed(),
-                          kFlagBytes, mi);
+      flag_set.end(kFlagBytes, mi);
     }
     cluster_->failures().notify(points::kAfterFlagSet);
 
-    const obs::ScopedCost propagate_scope(cluster_->ledger(), txn_id, "propagate", "core",
-                                          "propagate");
-    const sim::StopWatch propagate_watch(cluster_->clock());
+    PhaseScope propagate = open_phase(txn_id, TxnPhase::kPropagate);
     std::uint64_t mirror_bytes = 0;
     const auto after_copy = [this] { cluster_->failures().notify(points::kAfterRangeCopy); };
     if (config_.coalesce_ranges) {
@@ -550,26 +517,15 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     } else {
       mirror_bytes = mirror_set_.propagate_entries(m, ctx->undo(), records_, after_copy);
     }
-    stats_.time_propagation += propagate_watch.elapsed();
-    ctx->times().propagation += propagate_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kPropagate, propagate_watch.start(),
-                          propagate_watch.elapsed(), mirror_bytes, mi);
-    }
+    propagate.end(mirror_bytes, mi);
 
     cluster_->failures().notify(points::kBeforeFlagClear);
-    // THE commit point (for this mirror): the store clearing the flag.
-    const sim::StopWatch clear_watch(cluster_->clock());
-    if (!mc_skip_flag_clear_) {
-      const obs::ScopedCost clear_scope(cluster_->ledger(), txn_id, "flag_clear", "core",
-                                        "flag");
-      mirror_set_.store_flag(m, 0, 0, netram::StreamHint::kContinuation);
-    }
-    stats_.time_commit_flags += clear_watch.elapsed();
-    ctx->times().commit_flags += clear_watch.elapsed();
-    if (observer_) {
-      observer_->on_phase(txn_id, TxnPhase::kFlagClear, clear_watch.start(),
-                          clear_watch.elapsed(), kFlagBytes, mi);
+    // THE commit point (for this mirror): the store clearing the flag.  The
+    // seeded bug skips the store but still books and reports the phase.
+    {
+      PhaseScope flag_clear = open_phase(txn_id, TxnPhase::kFlagClear);
+      if (!mc_skip_flag_clear_) mirror_set_.store_flag(m, 0, 0, netram::StreamHint::kContinuation);
+      flag_clear.end(kFlagBytes, mi);
     }
     cluster_->failures().notify(points::kAfterFlagClear);
   }
@@ -587,7 +543,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
 
 void Perseas::txn_abort_impl(std::uint64_t txn_id) {
   sync::LockGuard lock(mu_);
-  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, "abort", "core", "local");
+  const PhaseScope abort_phase = open_phase(txn_id, TxnPhase::kAbort);
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_abort);
   TxnContext* ctx = find_context(txn_id);
   if (ctx == nullptr) throw UsageError("abort: no active transaction");

@@ -52,6 +52,7 @@
 #include "core/layout.hpp"
 #include "core/mirror_set.hpp"
 #include "core/perseas_config.hpp"
+#include "core/phase_scope.hpp"
 #include "core/range_set.hpp"
 #include "core/sync.hpp"
 #include "core/txn_context.hpp"
@@ -327,6 +328,11 @@ class Perseas {
       PERSEAS_REQUIRES(mu_);
   /// rebuild_mirror's body, shared with the recovery re-sync loop.
   void rebuild_mirror_locked(std::uint32_t index) PERSEAS_REQUIRES(mu_);
+  /// Opens `phase` of `txn` on this instance's ledger, clock, stats and
+  /// observer (core/phase_scope.hpp).
+  [[nodiscard]] PhaseScope open_phase(std::uint64_t txn, TxnPhase phase) PERSEAS_REQUIRES(mu_) {
+    return PhaseScope(cluster_->ledger(), cluster_->clock(), stats_, observer_.get(), txn, phase);
+  }
   /// Builds the record views handed to the observer (observer installed
   /// only: never called on the validation-off path).
   [[nodiscard]] std::vector<TxnRecordView> observer_views() PERSEAS_REQUIRES(mu_);

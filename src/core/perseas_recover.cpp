@@ -10,7 +10,6 @@
 #include "core/event_registry.hpp"
 #include "core/perseas.hpp"
 #include "core/protocol_points.hpp"
-#include "obs/cost_ledger.hpp"
 #include "obs/flight_recorder.hpp"
 
 namespace perseas::core {
@@ -29,7 +28,7 @@ void Perseas::attach_recover(const std::vector<netram::RemoteMemoryServer*>& ser
   sync::LockGuard lock(mu_);
   // Every recovery charge is one ledger bucket: recovery is not part of any
   // transaction's phase breakdown, but its cost must still balance the clock.
-  const obs::ScopedCost recover_scope(cluster_->ledger(), 0, "recover", "core", "cpu");
+  const PhaseScope recover_phase = open_phase(0, TxnPhase::kRecover);
   obs::FlightRecorder& flight = cluster_->flight();
   // Narrated milestones (recover.step events) at each protocol checkpoint;
   // together with the recover.scan/rollback/discard events below they form

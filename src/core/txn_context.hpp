@@ -3,11 +3,11 @@
 // Every begin_transaction() allocates one TxnContext; the Transaction
 // handle the caller holds names it by id.  All state that used to live on
 // the Perseas instance while "the" transaction was open — the local undo
-// images, the merged write set, the raw declared-byte counter, and the
-// per-phase simulated timings — lives here instead, so several
-// transactions can be open concurrently on one database.  The context is
-// plain local bookkeeping: the shared remote undo log (core/undo_log.hpp)
-// and the mirror images (core/mirror_set.hpp) stay per-database.
+// images, the merged write set and the raw declared-byte counter — lives
+// here instead, so several transactions can be open concurrently on one
+// database.  The context is plain local bookkeeping: the shared remote
+// undo log (core/undo_log.hpp) and the mirror images (core/mirror_set.hpp)
+// stay per-database.
 #pragma once
 
 #include <cstddef>
@@ -16,7 +16,6 @@
 #include <vector>
 
 #include "core/range_set.hpp"
-#include "sim/sim_time.hpp"
 
 namespace perseas::core {
 
@@ -74,17 +73,6 @@ class TxnContext {
 
   [[nodiscard]] std::uint64_t declared_bytes() const noexcept { return declared_bytes_; }
 
-  /// Simulated time this transaction spent per protocol phase (the
-  /// per-transaction slice of PerseasStats' aggregate phase counters).
-  struct PhaseTimes {
-    sim::SimDuration local_undo = 0;
-    sim::SimDuration remote_undo = 0;
-    sim::SimDuration propagation = 0;
-    sim::SimDuration commit_flags = 0;
-  };
-  [[nodiscard]] PhaseTimes& times() noexcept { return times_; }
-  [[nodiscard]] const PhaseTimes& times() const noexcept { return times_; }
-
  private:
   std::uint64_t id_;
   std::vector<UndoImage> undo_;
@@ -92,7 +80,6 @@ class TxnContext {
   std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> write_set_;
   std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> read_set_;
   std::uint64_t declared_bytes_ = 0;
-  PhaseTimes times_;
 };
 
 }  // namespace perseas::core

@@ -26,26 +26,36 @@
 
 namespace perseas::core {
 
-/// The protocol phases whose simulated cost composes a PERSEAS commit
-/// (paper figure 3's three memory copies plus the commit-point stores).
-/// Reported to observers through TxnObserver::on_phase.
+/// The protocol phases.  The first kObservedPhaseCount compose a commit's
+/// simulated cost (paper figure 3's three memory copies plus the
+/// commit-point stores) and are reported through TxnObserver::on_phase;
+/// the rest are booked only by core::PhaseScope (ledger, PerseasStats).
 enum class TxnPhase : std::uint8_t {
   kLocalUndo,   ///< step 1: before-image memcpy into the local undo log
   kRemoteUndo,  ///< step 2: undo entry pushed to every mirror
   kPropagate,   ///< step 3: declared ranges copied to one mirror's database
   kFlagSet,     ///< "propagation in progress" stored on one mirror
   kFlagClear,   ///< the commit point: the clearing store on one mirror
+  kBegin,       ///< begin_transaction's bookkeeping
+  kSetRange,    ///< a set_range declaration (encloses local/remote undo)
+  kCcWait,      ///< wait-die's charged wait before a retry throw
+  kCommit,      ///< a commit (encloses validate and the commit phases)
+  kValidate,    ///< the concurrency-control policy's commit-time check
+  kAbort,       ///< the local restore of the before-images
+  kRecover,     ///< attach_recover, one bucket outside any transaction
 };
 
+/// Phase names, in enum order: the ledger's phase keys and, prefixed with
+/// "txn.", the tracer's span names.
+inline constexpr std::string_view kPhaseNames[] = {
+    "local_undo", "remote_undo", "propagate", "flag_set", "flag_clear", "begin",
+    "set_range",  "cc_wait",     "commit",    "validate", "abort",      "recover"};
+inline constexpr std::size_t kPhaseCount = std::size(kPhaseNames);
+inline constexpr std::size_t kObservedPhaseCount = 5;  ///< kLocalUndo..kFlagClear
+
 [[nodiscard]] constexpr std::string_view to_string(TxnPhase phase) noexcept {
-  switch (phase) {
-    case TxnPhase::kLocalUndo: return "local_undo";
-    case TxnPhase::kRemoteUndo: return "remote_undo";
-    case TxnPhase::kPropagate: return "propagate";
-    case TxnPhase::kFlagSet: return "flag_set";
-    case TxnPhase::kFlagClear: return "flag_clear";
-  }
-  return "unknown";
+  const auto i = static_cast<std::size_t>(phase);
+  return i < kPhaseCount ? kPhaseNames[i] : "unknown";
 }
 
 /// One record's live local bytes, as shown to a TxnObserver.
@@ -106,11 +116,11 @@ class TxnObserver {
   /// Abort finished restoring the declared before-images locally.
   virtual void on_abort(std::uint64_t txn_id, std::span<const TxnRecordView> records) = 0;
 
-  /// One protocol phase finished, having advanced the simulated clock from
-  /// `start` for `duration` while moving `bytes` bytes; `mirror` names the
-  /// mirror index for the per-mirror phases (kPropagate, kFlagSet,
-  /// kFlagClear) and is 0 for the local/broadcast ones.  Default no-op so
-  /// purely structural observers (the write-set validator) ignore timing.
+  /// One observed phase (kLocalUndo..kFlagClear) finished, having advanced
+  /// the simulated clock from `start` for `duration` while moving `bytes`
+  /// bytes; `mirror` names the mirror index for the per-mirror phases
+  /// (kPropagate, kFlagSet, kFlagClear) and is 0 for the local/broadcast
+  /// ones.  Default no-op: structural observers (the validator) ignore it.
   virtual void on_phase(std::uint64_t txn_id, TxnPhase phase, sim::SimTime start,
                         sim::SimDuration duration, std::uint64_t bytes, std::uint32_t mirror) {
     (void)txn_id, (void)phase, (void)start, (void)duration, (void)bytes, (void)mirror;

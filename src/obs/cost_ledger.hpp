@@ -14,13 +14,14 @@
 // to escape the books.  Charges that arrive outside any scope are booked
 // under the root key {txn=0, phase="unattributed", layer="sim",
 // channel="-"}; a growing unattributed row is the signal that a code path
-// needs a ScopedCost.
+// needs a scope.
 //
-// Attribution is scoped RAII-style: the protocol pushes a scope around
-// each phase (core/perseas.cpp brackets local-undo, remote-undo,
-// flag-set, propagate, flag-clear, abort, recovery), and every charge the
-// netram layer makes while the scope is live is booked to it.  Bytes are
-// attributed explicitly by the cluster's charged ops via add_bytes().
+// Attribution is scoped RAII-style: the protocol opens every phase through
+// core::PhaseScope (core/phase_scope.hpp), which pushes a ScopedCost keyed
+// by its phase table and feeds PerseasStats and the observers from the
+// same scope; every charge the netram layer makes while the scope is live
+// is booked to it.  Bytes are attributed explicitly by the cluster's
+// charged ops via add_bytes().
 //
 // Like all of perseas::obs, the ledger charges no simulated time and no
 // simulated traffic of its own; with no ledger installed the clock hook

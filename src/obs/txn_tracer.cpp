@@ -4,14 +4,6 @@
 
 namespace perseas::obs {
 
-namespace {
-
-constexpr const char* kPhaseSpanNames[] = {
-    "txn.local_undo", "txn.remote_undo", "txn.propagate", "txn.flag_set", "txn.flag_clear",
-};
-
-}  // namespace
-
 TxnTracer::TxnTracer(const sim::SimClock& clock, TraceRecorder* trace, std::uint32_t track,
                      MetricsRegistry* metrics, std::uint32_t node, std::string label)
     : clock_(&clock),
@@ -25,11 +17,14 @@ TxnTracer::TxnTracer(const sim::SimClock& clock, TraceRecorder* trace, std::uint
                                    "Simulated whole-transaction latency in microseconds");
     undo_entry_bytes_ = &metrics_->histogram("perseas_undo_entry_bytes",
                                              "Serialized undo entry size pushed per mirror");
-    for (std::size_t p = 0; p < std::size(phase_us_); ++p) {
-      const auto phase_name = core::to_string(static_cast<core::TxnPhase>(p));
+  }
+  for (std::size_t p = 0; p < core::kObservedPhaseCount; ++p) {
+    const std::string phase_name(core::to_string(static_cast<core::TxnPhase>(p)));
+    span_names_[p] = "txn." + phase_name;
+    if (metrics_ != nullptr) {
       phase_us_[p] = &metrics_->histogram(
           "perseas_txn_phase_us", "Simulated per-phase transaction cost in microseconds",
-          "phase=\"" + std::string(phase_name) + "\"");
+          "phase=\"" + phase_name + "\"");
     }
   }
 }
@@ -108,11 +103,12 @@ void TxnTracer::on_commit(std::uint64_t txn_id, std::span<const core::TxnRecordV
 void TxnTracer::on_phase(std::uint64_t txn_id, core::TxnPhase phase, sim::SimTime start,
                          sim::SimDuration duration, std::uint64_t bytes, std::uint32_t mirror) {
   const auto p = static_cast<std::size_t>(phase);
-  if (trace_ != nullptr && p < std::size(kPhaseSpanNames)) {
-    trace_->complete(track_of(txn_id), node_, "txn", kPhaseSpanNames[p], start, duration,
+  if (p >= core::kObservedPhaseCount) return;
+  if (trace_ != nullptr) {
+    trace_->complete(track_of(txn_id), node_, "txn", span_names_[p], start, duration,
                      {{"txn", txn_id}, {"bytes", bytes}, {"mirror", mirror}});
   }
-  if (p < std::size(phase_us_) && phase_us_[p] != nullptr) {
+  if (phase_us_[p] != nullptr) {
     phase_us_[p]->observe(sim::to_us(duration));
   }
 }

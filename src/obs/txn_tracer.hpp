@@ -100,7 +100,10 @@ class TxnTracer final : public core::TxnObserver {
 
   Histogram* txn_us_ = nullptr;
   Histogram* undo_entry_bytes_ = nullptr;
-  Histogram* phase_us_[5] = {};
+  /// "txn.<phase>" span names and perseas_txn_phase_us histograms, per
+  /// observed phase.
+  std::string span_names_[core::kObservedPhaseCount];
+  Histogram* phase_us_[core::kObservedPhaseCount] = {};
 
   core::TxnObserverStats zero_stats_;
 };

@@ -9,16 +9,21 @@ its identifying fields: year / txn_bytes / engine / coalesce), reports every
 numeric delta, and — when the documents carry the per-transaction cost
 ledger — attributes the overall simulated-time delta to ledger phases, so a
 latency regression arrives pre-diagnosed ("+4.1% total, +92% of it in
-remote_undo") instead of as a bare number.  It also checks that the
-"metrics" sections (counters / gauges / histograms) name the same keys: a
-key added or removed relative to the baseline means the snapshot is stale
-or an export was lost, and fails the gate.
+remote_undo") instead of as a bare number.
+
+The "metrics" sections (counters / gauges / histograms) and the ledger
+(its by_phase aggregation, its per-transaction rows and its totals) are
+accounts, not scores: they have no better direction, so any value that
+moves beyond the tolerance either way fails the gate, and so does a key or
+row present in only one document (a stale snapshot or a lost export).
+Moving nanoseconds from one phase to another fails even when the total
+stays put.
 
 Exit status:
-    0  no metric moved beyond the tolerance (default 0%: the simulation is
+    0  nothing moved beyond the tolerance (default 0%: the simulation is
        deterministic, so the committed snapshot must match bit-for-bit)
-    1  at least one unexplained regression, a metric key added or removed,
-       or invalid inputs
+    1  at least one unexplained regression, a metric or ledger value moved,
+       a metric key or ledger row added or removed, or invalid inputs
 
 Stdlib only: runs on any CI python3 without installs.
 """
@@ -33,8 +38,12 @@ ID_FIELDS = ("kind", "year", "txn_bytes", "engine", "coalesce")
 # Metrics where a *decrease* is the regression direction.
 HIGHER_IS_BETTER = {"txns_per_second", "perseas_tps", "rvm_disk_tps",
                     "remote_wal_tps", "speedup"}
-# Sections of the "metrics" document whose key sets must match.
+# Sections of the "metrics" document whose key sets and values must match.
 METRIC_SECTIONS = ("counters", "gauges", "histograms")
+# Fields that identify a ledger row.
+LEDGER_ROW_ID = ("txn", "phase", "layer", "channel")
+# Moved-value lines printed per section before the rest are summarized.
+MAX_LINES = 20
 
 
 def fail(msg):
@@ -76,6 +85,87 @@ def pct(old, new):
     if old == 0:
         return float("inf") if new != 0 else 0.0
     return (new - old) / old * 100.0
+
+
+def is_number(v):
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def moved(vb, vc, tolerance):
+    """Whether vb -> vc moved beyond `tolerance` percent, either way."""
+    if is_number(vb) and is_number(vc):
+        return vb != vc and abs(pct(vb, vc)) > tolerance
+    return vb != vc
+
+
+def fmt_move(vb, vc):
+    if is_number(vb) and is_number(vc):
+        return f"{vb} -> {vc} ({pct(vb, vc):+.2f}%)"
+    return f"{vb!r} -> {vc!r}"
+
+
+def diff_values(label, base, cand, tolerance):
+    """One line per value of `base` whose counterpart in `cand` moved.
+    Histogram values are objects, compared field by field."""
+    lines = []
+    for key in sorted(set(base) & set(cand)):
+        vb, vc = base[key], cand[key]
+        if isinstance(vb, dict) and isinstance(vc, dict):
+            for field in sorted(set(vb) | set(vc)):
+                if moved(vb.get(field), vc.get(field), tolerance):
+                    lines.append(f"{label} {key}.{field}: "
+                                 f"{fmt_move(vb.get(field), vc.get(field))}")
+        elif moved(vb, vc, tolerance):
+            lines.append(f"{label} {key}: {fmt_move(vb, vc)}")
+    return lines
+
+
+def diff_metric_values(base, cand, tolerance):
+    """Returns one line per counter, gauge or histogram value that moved."""
+    mb, mc = base.get("metrics") or {}, cand.get("metrics") or {}
+    lines = []
+    for section in METRIC_SECTIONS:
+        lines += diff_values(section, mb.get(section) or {}, mc.get(section) or {},
+                             tolerance)
+    return lines
+
+
+def diff_ledger_values(base, cand, tolerance):
+    """Returns one line per ledger value that moved: by_phase ns, row ns
+    and bytes, the scalar totals, and phases or rows present on one side
+    only."""
+    lb, lc = base.get("ledger"), cand.get("ledger")
+    if lb is None and lc is None:
+        return []
+    if not (isinstance(lb, dict) and isinstance(lc, dict)):
+        return [f"ledger section {'added' if lb is None else 'removed'}"]
+    lines = []
+    scalars_b = {k: v for k, v in lb.items() if is_number(v)}
+    scalars_c = {k: v for k, v in lc.items() if is_number(v)}
+    lines += diff_values("ledger", scalars_b, scalars_c, tolerance)
+
+    phases_b = {p["phase"]: p["ns"] for p in lb.get("by_phase", [])}
+    phases_c = {p["phase"]: p["ns"] for p in lc.get("by_phase", [])}
+    lines += [f"ledger phase removed: {p}" for p in sorted(set(phases_b) - set(phases_c))]
+    lines += [f"ledger phase added: {p}" for p in sorted(set(phases_c) - set(phases_b))]
+    lines += diff_values("ledger by_phase", phases_b, phases_c, tolerance)
+
+    def rows(ledger):
+        return {" ".join(f"{k}={r.get(k)}" for k in LEDGER_ROW_ID):
+                {"ns": r.get("ns"), "bytes": r.get("bytes")}
+                for r in ledger.get("rows", [])}
+    rows_b, rows_c = rows(lb), rows(lc)
+    lines += [f"ledger row removed: {k}" for k in sorted(set(rows_b) - set(rows_c))]
+    lines += [f"ledger row added: {k}" for k in sorted(set(rows_c) - set(rows_b))]
+    lines += diff_values("ledger row", rows_b, rows_c, tolerance)
+    return lines
+
+
+def print_capped(tag, lines):
+    for line in lines[:MAX_LINES]:
+        print(f"bench-diff: {tag}: {line}")
+    if len(lines) > MAX_LINES:
+        print(f"bench-diff: {tag}: ... and {len(lines) - MAX_LINES} more")
 
 
 def diff_metric_keys(base, cand):
@@ -167,6 +257,10 @@ def main():
     key_changes = diff_metric_keys(base_doc, cand_doc)
     for line in key_changes:
         print(f"bench-diff: KEY: {line}")
+    value_moves = diff_metric_values(base_doc, cand_doc, tolerance)
+    print_capped("VALUE", value_moves)
+    ledger_moves = diff_ledger_values(base_doc, cand_doc, tolerance)
+    print_capped("LEDGER", ledger_moves)
 
     if regressions:
         print(f"bench-diff: FAIL: {len(regressions)} unexplained regression(s) "
@@ -176,6 +270,12 @@ def main():
         print(f"bench-diff: FAIL: {len(key_changes)} metric key(s) added or removed "
               f"relative to the baseline (regenerate it with tools/bench-trend.sh)",
               file=sys.stderr)
+        sys.exit(1)
+    if value_moves or ledger_moves:
+        print(f"bench-diff: FAIL: {len(value_moves)} metric value(s) and "
+              f"{len(ledger_moves)} ledger value(s) moved beyond the {tolerance:g}% "
+              f"tolerance (regenerate the baseline with tools/bench-trend.sh if "
+              f"the move is intended)", file=sys.stderr)
         sys.exit(1)
     print(f"bench-diff: OK: {len(base)} rows compared, {changes} change(s), "
           f"none beyond the {tolerance:g}% tolerance")

@@ -21,8 +21,9 @@ contracts the linter cannot see (docs/ANALYSIS.md §8 defines each):
                              directly via advance() or transitively via
                              any function whose body reaches advance()
                              uncovered — is dominated by a live
-                             obs::ScopedCost on the transaction-lifecycle
-                             entries.  Setup/teardown entries and the
+                             core::PhaseScope (or obs::ScopedCost) on
+                             the transaction-lifecycle entries.
+                             Setup/teardown entries and the
                              comparison engines are exempt by design:
                              their charges land in the ledger's
                              unattributed bucket, which the perf gate
@@ -50,9 +51,9 @@ Two frontends produce the same statement-tree IR:
 Exit status: 0 clean, 1 violations, 2 internal/usage error.
 
 --selftest seeds one violation per check into an in-memory copy of the
-tree (a reordered notify, a deleted ScopedCost, a deleted notify plus a
-synthetic mc report that still fires it) and fails unless all three are
-caught.
+tree (a reordered notify, commit's deleted PhaseScope, a deleted notify
+plus a synthetic mc report that still fires it) and fails unless all three
+are caught.
 """
 
 from __future__ import annotations
@@ -121,7 +122,8 @@ def parse_registry(tree):
 # Events, in source order:
 #   ("notify", literal-or-None, ident, line)
 #   ("call", name, args-or-None, line)       args only for store_flag
-#   ("scope", None, None, line)              an obs::ScopedCost came alive
+#   ("scope", None, None, line)              a core::PhaseScope or
+#                                            obs::ScopedCost came alive
 
 
 class Func:
@@ -168,7 +170,10 @@ def iter_events(node):
 HEAD_RE = re.compile(r"(~?[A-Za-z_]\w*(?:\s*::\s*~?[A-Za-z_]\w*)*)\s*\(")
 NOTIFY_RE = re.compile(r"\bnotify\s*\(\s*((?:\w+\s*::\s*)*k\w+)")
 CALL_RE = re.compile(r"\b(~?[A-Za-z_]\w*)\s*\(")
-SCOPED_RE = re.compile(r"\bScopedCost\b")
+# A variable of either type opens a ledger scope; src/core opens every
+# protocol phase through core::PhaseScope, which wraps obs::ScopedCost.
+SCOPE_TYPES = ("PhaseScope", "ScopedCost")
+SCOPED_RE = re.compile(r"\b(?:" + "|".join(SCOPE_TYPES) + r")\b")
 
 KEYWORDS = frozenset(
     "if for while switch do try catch return throw else new delete sizeof "
@@ -727,7 +732,8 @@ class _AstConv:
             elif kind == "CallExpr":
                 out.extend(self._free_call(n))
             elif kind == "VarDecl":
-                if "ScopedCost" in n.get("type", {}).get("qualType", ""):
+                qual = n.get("type", {}).get("qualType", "")
+                if any(t in qual for t in SCOPE_TYPES):
                     out.append(("scope", None, None, self.line))
         for c in n.get("inner", []):
             if isinstance(c, dict):
@@ -976,7 +982,8 @@ class OrderState:
 
 
 class CoverState:
-    """Whether a live obs::ScopedCost dominates the current point."""
+    """Whether a live ledger scope (PhaseScope/ScopedCost) dominates the
+    current point."""
 
     def __init__(self, covered=False):
         self.covered = covered
@@ -1190,7 +1197,7 @@ class Analysis:
 
     def unprotected(self, f):
         """A witness chain [(qualname, line), ...] ending at an uncovered
-        SimClock charge reachable from `f` with no ScopedCost above it, or
+        SimClock charge reachable from `f` with no ledger scope above it, or
         None when every charge inside `f` is internally covered."""
         key = f.qualname
         if key in self._unprot:
@@ -1254,7 +1261,7 @@ class Analysis:
                     self.violation(
                         "V2", f, e[3],
                         f"uncovered charge: {e[1]}() charges SimClock with no "
-                        f"live obs::ScopedCost ({trail})")
+                        f"live ledger scope (core::PhaseScope) ({trail})")
 
             walk(f.body, CoverState(False), ev)
         return exempt
@@ -1393,8 +1400,7 @@ def analyze(tree, mc_docs=(), funcs=None, frontend="internal"):
 SEED_FILE = "src/core/perseas.cpp"
 SEED_BEFORE_CLEAR = "    cluster_->failures().notify(points::kBeforeFlagClear);\n"
 SEED_AFTER_CLEAR = "    cluster_->failures().notify(points::kAfterFlagClear);"
-SEED_SCOPE = ('  const obs::ScopedCost cost_scope(cluster_->ledger(), txn_id, '
-              '"commit", "core", "cpu");\n')
+SEED_SCOPE = "  const PhaseScope commit_phase = open_phase(txn_id, TxnPhase::kCommit);\n"
 
 
 def selftest(repo):
@@ -1402,7 +1408,7 @@ def selftest(repo):
     src = tree.get(SEED_FILE, "")
     for needle, what in ((SEED_BEFORE_CLEAR, "kBeforeFlagClear notify"),
                          (SEED_AFTER_CLEAR, "kAfterFlagClear notify"),
-                         (SEED_SCOPE, "commit ScopedCost")):
+                         (SEED_SCOPE, "commit PhaseScope")):
         if needle not in src:
             print(f"selftest: seed anchor missing from {SEED_FILE}: {what}",
                   file=sys.stderr)
@@ -1428,13 +1434,13 @@ def selftest(repo):
             if v["check"] == "V1" and "before_flag_clear" in v["message"]]
     status |= _seed_result("V1", hits, "reordered notify in txn_commit_impl")
 
-    # V2: delete commit's ScopedCost — its charges lose their cost scope.
+    # V2: delete commit's PhaseScope — its charges lose their cost scope.
     t2 = dict(tree)
     t2[SEED_FILE] = t2[SEED_FILE].replace(SEED_SCOPE, "", 1)
     r2 = analyze(t2)
     hits = [v for v in r2["violations"]
             if v["check"] == "V2" and v["function"] == "Perseas::txn_commit_impl"]
-    status |= _seed_result("V2", hits, "deleted ScopedCost in txn_commit_impl")
+    status |= _seed_result("V2", hits, "deleted PhaseScope in txn_commit_impl")
 
     # V3: delete the notify entirely, then replay a synthetic mc report
     # (built from the registry) that still fired it — a dynamic-only point.

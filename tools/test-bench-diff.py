@@ -3,9 +3,11 @@
 
 Builds small perseas-bench/1 documents in a temp directory and runs the
 real script over pairs of them: identical documents must pass; a moved
-row metric, a metric key added or a metric key removed relative to the
-baseline must each fail.  Guards the gate against reporting green because
-it stopped looking at part of the document.
+row metric, a metric key added or removed, a moved counter, gauge or
+histogram value, nanoseconds moved between two ledger phases with the
+total unchanged, and a moved ledger row must each fail.  Guards the gate
+against reporting green because it stopped looking at part of the
+document.
 
 Exit status: 0 all pass, 1 failures.  Stdlib only.
 """
@@ -26,7 +28,18 @@ BASE = {
     "metrics": {
         "counters": {'perseas_txns_total{db="t",outcome="committed"}': 5},
         "gauges": {'perseas_mirrors{db="t"}': 1},
-        "histograms": {},
+        "histograms": {"perseas_txn_us": {"count": 5, "sum": 60.0, "p50": 11.8}},
+    },
+    "ledger": {
+        "rows": [
+            {"txn": 1, "phase": "local_undo", "layer": "core", "channel": "local",
+             "ns": 500, "bytes": 0},
+            {"txn": 1, "phase": "flag_set", "layer": "core", "channel": "flag",
+             "ns": 2500, "bytes": 16},
+        ],
+        "by_phase": [{"phase": "local_undo", "ns": 500}, {"phase": "flag_set", "ns": 2500}],
+        "total_ns": 3000,
+        "total_bytes": 16,
     },
 }
 
@@ -72,7 +85,34 @@ def main():
 
         no_metrics = copy.deepcopy(BASE)
         del no_metrics["metrics"]
-        check(tmp, "metrics-section-dropped", no_metrics, 1, "2 metric key(s)")
+        check(tmp, "metrics-section-dropped", no_metrics, 1, "3 metric key(s)")
+
+        counter = copy.deepcopy(BASE)
+        counter["metrics"]["counters"]['perseas_txns_total{db="t",outcome="committed"}'] = 6
+        check(tmp, "counter-value-moved", counter, 1,
+              'VALUE: counters perseas_txns_total{db="t",outcome="committed"}: 5 -> 6')
+
+        gauge = copy.deepcopy(BASE)
+        gauge["metrics"]["gauges"]['perseas_mirrors{db="t"}'] = 2
+        check(tmp, "gauge-value-moved", gauge, 1,
+              'VALUE: gauges perseas_mirrors{db="t"}: 1 -> 2')
+
+        histogram = copy.deepcopy(BASE)
+        histogram["metrics"]["histograms"]["perseas_txn_us"]["sum"] = 61.0
+        check(tmp, "histogram-value-moved", histogram, 1,
+              "VALUE: histograms perseas_txn_us.sum: 60.0 -> 61.0")
+
+        # 100 ns move from local_undo to flag_set: total_ns is unchanged.
+        shifted = copy.deepcopy(BASE)
+        shifted["ledger"]["by_phase"] = [{"phase": "local_undo", "ns": 400},
+                                         {"phase": "flag_set", "ns": 2600}]
+        check(tmp, "phase-ns-moved-same-total", shifted, 1,
+              "LEDGER: ledger by_phase local_undo: 500 -> 400")
+
+        row = copy.deepcopy(BASE)
+        row["ledger"]["rows"][1]["bytes"] = 32
+        check(tmp, "ledger-row-moved", row, 1,
+              "LEDGER: ledger row txn=1 phase=flag_set layer=core channel=flag.bytes: 16 -> 32")
 
     if FAILURES:
         print(f"bench-diff-test: FAIL ({len(FAILURES)} case(s))", file=sys.stderr)
