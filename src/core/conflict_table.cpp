@@ -50,7 +50,19 @@ std::uint64_t ConflictTable::try_acquire(std::uint64_t txn, std::uint32_t record
                                          std::uint64_t offset, std::uint64_t size) {
   if (size == 0) return 0;  // an empty range claims no bytes
   sync::LockGuard lock(mu_);
-  std::vector<Claim>& claims = records_[record];
+  auto at = records_.find(record);
+  if (at == records_.end()) {
+    if (spare_.empty()) {
+      spare_.reserve(records_.size() + 1);
+      at = records_.try_emplace(record).first;
+    } else {
+      RecordMap::node_type node = std::move(spare_.back());
+      spare_.pop_back();
+      node.key() = record;
+      at = records_.insert(std::move(node)).position;
+    }
+  }
+  std::vector<Claim>& claims = at->second;
   for (const Claim& c : claims) {
     if (c.owner != txn && ranges_overlap(offset, size, c.offset, c.size)) {
       return c.owner;
@@ -90,7 +102,13 @@ void ConflictTable::release(std::uint64_t txn) noexcept {
     claims.erase(std::remove_if(claims.begin(), claims.end(),
                                 [txn](const Claim& c) { return c.owner == txn; }),
                  claims.end());
-    it = claims.empty() ? records_.erase(it) : std::next(it);
+    if (!claims.empty()) {
+      ++it;
+      continue;
+    }
+    const auto next = std::next(it);
+    spare_.push_back(records_.extract(it));
+    it = next;
   }
 }
 

@@ -106,7 +106,14 @@ class ConflictTable {
   /// lock every threaded set_range crosses, and a linear record scan there
   /// would serialize the whole frontend on cold-cache pointer chasing.
   /// Claims within a record stay unordered (a handful of ranges each).
-  std::unordered_map<std::uint32_t, std::vector<Claim>> records_ PERSEAS_GUARDED_BY(mu_);
+  /// Only records with a live claim have an entry, so release() scans
+  /// what is claimed, not every record ever claimed.
+  using RecordMap = std::unordered_map<std::uint32_t, std::vector<Claim>>;
+  RecordMap records_ PERSEAS_GUARDED_BY(mu_);
+  /// Entries release() emptied, claim vector and all, kept for the next
+  /// record a transaction claims, so the steady state allocates nothing.
+  /// Capacity covers every entry ever made: release() is noexcept.
+  std::vector<RecordMap::node_type> spare_ PERSEAS_GUARDED_BY(mu_);
 };
 
 }  // namespace perseas::core

@@ -121,8 +121,8 @@ std::uint64_t MirrorSet::propagate_ranges(
   std::uint64_t mirror_bytes = 0;
   for (const auto& [rec, ranges] : write_set) {
     const auto bytes = record_bytes(records, rec);
-    std::vector<netram::RemoteMemoryClient::GatherSlice> slices;
-    slices.reserve(ranges.size());
+    std::vector<netram::RemoteMemoryClient::GatherSlice>& slices = slices_;
+    slices.clear();
     for (const auto& r : ranges) {
       slices.push_back({r.offset, bytes.subspan(r.offset, r.size)});
       mirror_bytes += r.size;

@@ -141,6 +141,9 @@ class MirrorSet {
   /// and are serialized by the caller's transaction locking, not by mu_.
   mutable sync::Mutex mu_;
   std::vector<Mirror> mirrors_ PERSEAS_GUARDED_BY(mu_);
+  /// propagate_ranges()'s gather list, reused from record to record (as a
+  /// data push, serialized by the caller's transaction locking).
+  std::vector<netram::RemoteMemoryClient::GatherSlice> slices_;
 };
 
 }  // namespace perseas::core

@@ -218,7 +218,15 @@ Transaction Perseas::begin_transaction() {
   // Begin order doubles as the policy timestamp (wait-die age, OCC begin
   // snapshot); ids are never reused, so the order is total.
   cc_->on_begin(txn_counter_);
-  open_.push_back(std::make_unique<TxnContext>(txn_counter_));
+  if (closed_.empty()) {
+    open_.push_back(std::make_unique<TxnContext>(txn_counter_));
+    // close_context() is noexcept: room for every context it may park.
+    closed_.reserve(open_.size());
+  } else {
+    open_.push_back(std::move(closed_.back()));
+    closed_.pop_back();
+    open_.back()->reset(txn_counter_);
+  }
   stats_.max_open_txns = std::max<std::uint64_t>(stats_.max_open_txns, open_.size());
   cluster_->flight().record(EventKind::kTxnBegin, txn_counter_, open_.size());
   if (observer_) {
@@ -235,17 +243,11 @@ TxnContext* Perseas::find_context(std::uint64_t txn_id) noexcept {
   return nullptr;
 }
 
-std::vector<const TxnContext*> Perseas::open_contexts() const {
-  std::vector<const TxnContext*> out;
-  out.reserve(open_.size());
-  for (const auto& ctx : open_) out.push_back(ctx.get());
-  return out;
-}
-
 void Perseas::close_context(std::uint64_t txn_id) noexcept {
   cc_->on_release(txn_id);
   for (auto it = open_.begin(); it != open_.end(); ++it) {
     if ((*it)->id() == txn_id) {
+      closed_.push_back(std::move(*it));
       open_.erase(it);
       return;
     }
@@ -337,28 +339,29 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   // were logged by an earlier set_range while still pristine (writes must
   // follow their covering declaration), so a second copy would duplicate
   // the first byte-for-byte.
-  std::vector<ByteRange> fresh = ctx->declare(record, offset, size);
-  if (!config_.coalesce_ranges) {
-    // Historical behaviour: one full-width entry per declaration.  The
-    // union is still maintained so both modes expose the same write set.
-    fresh.assign(1, ByteRange{offset, size});
-  } else if (fresh.size() != 1 || fresh.front().offset != offset ||
-             fresh.front().size != size) {
-    ++stats_.ranges_coalesced;
+  const std::vector<ByteRange>& uncovered = ctx->declare(record, offset, size);
+  // Historical behaviour without coalescing: one full-width entry per
+  // declaration.  The union is still maintained so both modes expose the
+  // same write set.
+  const ByteRange whole{offset, size};
+  std::span<const ByteRange> fresh(&whole, 1);
+  if (config_.coalesce_ranges) {
+    fresh = uncovered;
+    if (fresh.size() != 1 || fresh.front() != whole) ++stats_.ranges_coalesced;
   }
 
   PhaseScope local_undo = open_phase(txn_id, TxnPhase::kLocalUndo);
-  std::vector<UndoImage> entries;
-  entries.reserve(fresh.size());
+  std::vector<UndoImage>& entries = staged_;
+  entries.clear();
   std::uint64_t fresh_bytes = 0;
   for (const auto& r : fresh) {  // figure 3, step 1
-    UndoImage u;
+    UndoImage& u = entries.emplace_back();
     u.record = record;
     u.offset = r.offset;
+    u.before = ctx->take_buffer();
     const auto src = record_bytes_locked(record).subspan(r.offset, r.size);
     u.before.assign(src.begin(), src.end());
     fresh_bytes += r.size;
-    entries.push_back(std::move(u));
   }
   if (fresh_bytes > 0) cluster_->charge_local_memcpy(local_, fresh_bytes);
   if (config_.coalesce_ranges && fresh_bytes < size) {
@@ -375,11 +378,10 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
 
   if (config_.eager_remote_undo && !entries.empty()) {
     PhaseScope remote_undo = open_phase(txn_id, TxnPhase::kRemoteUndo);
-    const auto open = open_contexts();
     std::uint64_t pushed = 0;
     for (auto& u : entries) {
       const std::uint64_t needed = undo_entry_bytes(u.before.size());
-      undo_log_.ensure_capacity(mirror_set_, needed, open);
+      undo_log_.ensure_capacity(mirror_set_, needed, open_);
       undo_log_.push(mirror_set_, u, txn_id, netram::StreamHint::kNewBurst,
                      observer_.get());  // figure 3, step 2
       pushed += needed;
@@ -468,7 +470,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     // protocol points and observer cross-checks are identical whether or
     // not the log had to grow.  The entries continue one SCI stream: only
     // the first pays the burst launch latency.
-    undo_log_.ensure_capacity(mirror_set_, total, open_contexts());
+    undo_log_.ensure_capacity(mirror_set_, total, open_);
     bool first = true;
     for (const auto& u : ctx->undo()) {
       undo_log_.push(mirror_set_, u, txn_id,

@@ -346,9 +346,8 @@ class Perseas {
 
   /// The open transaction with this id, or nullptr.
   [[nodiscard]] TxnContext* find_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
-  /// Views of every open context in begin order (undo-log growth input).
-  [[nodiscard]] std::vector<const TxnContext*> open_contexts() const PERSEAS_REQUIRES(mu_);
-  /// Drops `txn_id`'s context and conflict-table claims (commit/abort).
+  /// Closes `txn_id`'s context (kept for reuse by a later begin) and drops
+  /// its conflict-table claims (commit/abort).
   void close_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
 
   // Transaction backends.  The public-facing three are thin anomaly
@@ -400,6 +399,12 @@ class Perseas {
   /// Open transactions in begin order; each owns its TxnContext at a
   /// stable address (Transaction handles name them by id).
   std::vector<std::unique_ptr<TxnContext>> open_ PERSEAS_GUARDED_BY(mu_);
+  /// Closed contexts, reused (storage and all) by the next begins; never
+  /// more than the most transactions ever open at once.
+  std::vector<std::unique_ptr<TxnContext>> closed_ PERSEAS_GUARDED_BY(mu_);
+  /// set_range's before-images between the local copy and the remote push
+  /// (reused storage; only the pushed ones join the context's undo list).
+  std::vector<UndoImage> staged_ PERSEAS_GUARDED_BY(mu_);
 
   bool shut_down_ PERSEAS_GUARDED_BY(mu_) = false;
   RecoveryReport recovery_ PERSEAS_GUARDED_BY(mu_);

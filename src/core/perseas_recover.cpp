@@ -35,7 +35,7 @@ void Perseas::attach_recover(const std::vector<netram::RemoteMemoryServer*>& ser
   // the structured self-report the blackbox renders after a crash.
   const auto step = [&flight](std::string_view what, std::uint64_t announced_txn = 0,
                               std::uint64_t undo_bytes = 0) {
-    flight.record(EventKind::kRecoverStep, 0, flight.intern(what), announced_txn, undo_bytes);
+    flight.record_named(EventKind::kRecoverStep, 0, what, announced_txn, undo_bytes);
   };
   // Find any reachable mirror that holds the database (paper section 3:
   // "the database may be reconstructed quickly in any workstation").

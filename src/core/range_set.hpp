@@ -48,26 +48,29 @@ struct ByteRange {
 
 /// Inserts [offset, offset+size) into `ranges` (sorted by offset, disjoint,
 /// non-touching — the invariant this function maintains), merging
-/// overlapping and adjacent intervals.  Returns the sub-ranges of the
-/// insertion that were *not* previously covered, in ascending order: the
-/// bytes a coalescing undo log still has to copy.  An empty result means
-/// the new range was already fully covered; a single result equal to the
-/// input means it was entirely fresh.
-inline std::vector<ByteRange> merge_range(std::vector<ByteRange>& ranges, std::uint64_t offset,
-                                          std::uint64_t size) {
+/// overlapping and adjacent intervals.  When `fresh` is given it is
+/// replaced by the sub-ranges of the insertion that were *not* previously
+/// covered, in ascending order: the bytes a coalescing undo log still has
+/// to copy.  An empty result means the new range was already fully
+/// covered; a single result equal to the input means it was entirely
+/// fresh.  The caller owns `fresh`, so a reused vector costs no allocation.
+inline void merge_range(std::vector<ByteRange>& ranges, std::uint64_t offset, std::uint64_t size,
+                        std::vector<ByteRange>* fresh = nullptr) {
   // Gap scan first, against the pre-insertion set: every byte of the new
   // range not inside an existing interval is fresh.
-  std::vector<ByteRange> fresh;
-  const std::uint64_t end = offset + size;
-  std::uint64_t p = offset;
-  for (const auto& r : ranges) {
-    if (r.offset + r.size <= p) continue;  // wholly before the cursor
-    if (r.offset >= end) break;
-    if (r.offset > p) fresh.push_back(ByteRange{p, r.offset - p});
-    p = std::min(end, std::max(p, r.offset + r.size));
-    if (p == end) break;
+  if (fresh != nullptr) {
+    fresh->clear();
+    const std::uint64_t end = offset + size;
+    std::uint64_t p = offset;
+    for (const auto& r : ranges) {
+      if (r.offset + r.size <= p) continue;  // wholly before the cursor
+      if (r.offset >= end) break;
+      if (r.offset > p) fresh->push_back(ByteRange{p, r.offset - p});
+      p = std::min(end, std::max(p, r.offset + r.size));
+      if (p == end) break;
+    }
+    if (p < end) fresh->push_back(ByteRange{p, end - p});
   }
-  if (p < end) fresh.push_back(ByteRange{p, end - p});
 
   const auto at = std::lower_bound(
       ranges.begin(), ranges.end(), offset,
@@ -90,7 +93,6 @@ inline std::vector<ByteRange> merge_range(std::vector<ByteRange>& ranges, std::u
     it->size = std::max(it->offset + it->size, next->offset + next->size) - it->offset;
     next = ranges.erase(next);
   }
-  return fresh;
 }
 
 /// True when [offset, offset+size) lies inside the union of `ranges`

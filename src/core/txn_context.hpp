@@ -1,13 +1,13 @@
 // Per-transaction state of the PERSEAS protocol.
 //
-// Every begin_transaction() allocates one TxnContext; the Transaction
-// handle the caller holds names it by id.  All state that used to live on
-// the Perseas instance while "the" transaction was open — the local undo
-// images, the merged write set and the raw declared-byte counter — lives
-// here instead, so several transactions can be open concurrently on one
-// database.  The context is plain local bookkeeping: the shared remote
-// undo log (core/undo_log.hpp) and the mirror images (core/mirror_set.hpp)
-// stay per-database.
+// Every begin_transaction() opens one TxnContext (a closed one is reused,
+// storage and all); the Transaction handle the caller holds names it by
+// id.  All state that used to live on the Perseas instance while "the"
+// transaction was open — the local undo images, the merged write set and
+// the raw declared-byte counter — lives here instead, so several
+// transactions can be open concurrently on one database.  The context is
+// plain local bookkeeping: the shared remote undo log (core/undo_log.hpp)
+// and the mirror images (core/mirror_set.hpp) stay per-database.
 #pragma once
 
 #include <cstddef>
@@ -35,12 +35,18 @@ class TxnContext {
 
   [[nodiscard]] std::uint64_t id() const noexcept { return id_; }
 
+  /// Reopens this closed context for transaction `id`, as if freshly
+  /// constructed, but keeping its storage: vector capacity, the per-record
+  /// range vectors and the before-image buffers are reused by the next
+  /// transaction instead of going back to the heap.
+  void reset(std::uint64_t id);
+
   /// Merges a set_range declaration into this transaction's per-record
   /// union and returns the sub-ranges not previously covered (ascending,
-  /// possibly empty) — the bytes that still need before-images.  Also
-  /// advances the raw declared-byte counter.
-  std::vector<ByteRange> declare(std::uint32_t record, std::uint64_t offset,
-                                 std::uint64_t size);
+  /// possibly empty; valid until the next declare) — the bytes that still
+  /// need before-images.  Also advances the raw declared-byte counter.
+  const std::vector<ByteRange>& declare(std::uint32_t record, std::uint64_t offset,
+                                        std::uint64_t size);
 
   /// Merges a read_range declaration into this transaction's read set.
   /// Reads are plain bookkeeping — no before-image, no claim, no charge;
@@ -68,6 +74,10 @@ class TxnContext {
   [[nodiscard]] std::vector<UndoImage>& undo() noexcept { return undo_; }
   [[nodiscard]] const std::vector<UndoImage>& undo() const noexcept { return undo_; }
 
+  /// An empty buffer for a new UndoImage::before, recycled from an
+  /// earlier transaction of this context when one is spare.
+  [[nodiscard]] std::vector<std::byte> take_buffer();
+
   [[nodiscard]] std::size_t pushed_entries() const noexcept { return pushed_entries_; }
   void set_pushed_entries(std::size_t n) noexcept { pushed_entries_ = n; }
 
@@ -80,6 +90,11 @@ class TxnContext {
   std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> write_set_;
   std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> read_set_;
   std::uint64_t declared_bytes_ = 0;
+  /// declare()'s result, rebuilt in place by each call.
+  std::vector<ByteRange> fresh_;
+  /// Storage of earlier transactions, kept for reuse by reset().
+  std::vector<std::vector<std::byte>> spare_buffers_;
+  std::vector<std::vector<ByteRange>> spare_ranges_;
 };
 
 }  // namespace perseas::core

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -94,15 +95,15 @@ class UndoLog {
     tail_ = 0;
   }
 
-  /// Serializes one undo entry (header + padded image) for txn `txn_id`.
-  [[nodiscard]] std::vector<std::byte> serialize(const UndoImage& u,
-                                                 std::uint64_t txn_id) const;
+  /// Appends one serialized undo entry (header + padded image) for txn
+  /// `txn_id` to `out`.
+  void serialize(const UndoImage& u, std::uint64_t txn_id, std::vector<std::byte>& out) const;
 
   /// Grows the log if `needed` more bytes would overflow it, re-logging
   /// the already-pushed entries of every context in `open` (figure-3 order
   /// per context) into the doubled segment.
   void ensure_capacity(MirrorSet& mirrors, std::uint64_t needed,
-                       std::span<const TxnContext* const> open);
+                       std::span<const std::unique_ptr<TxnContext>> open);
 
   /// Pushes one entry at the shared tail to every mirror (figure 3, step
   /// 2), cross-checking through `observer` when installed, and advances
@@ -165,7 +166,7 @@ class UndoLog {
 
  private:
   void grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
-            std::span<const TxnContext* const> open) PERSEAS_REQUIRES(mu_);
+            std::span<const std::unique_ptr<TxnContext>> open) PERSEAS_REQUIRES(mu_);
 
   netram::Cluster* cluster_;
   netram::RemoteMemoryClient* client_;
@@ -178,6 +179,8 @@ class UndoLog {
   std::uint64_t gen_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::uint64_t capacity_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::uint64_t tail_ PERSEAS_GUARDED_BY(mu_) = 0;
+  /// push()'s serialized entry (storage reused from push to push).
+  std::vector<std::byte> entry_ PERSEAS_GUARDED_BY(mu_);
 };
 
 }  // namespace perseas::core

@@ -24,10 +24,11 @@ Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& confi
                                             config.arena_bytes_per_node, supply));
   }
   // Every injector firing — any engine, any layer — lands in the blackbox.
-  // The observer runs before armed actions, so a crash-injecting action
-  // still leaves its firing on record.
+  // The observer runs under the injector's lock and before armed actions,
+  // so each point's firings are recorded in hit order, and a
+  // crash-injecting action still leaves its firing on record.
   failures_.set_observer([this](std::string_view point, std::uint64_t hits) {
-    flight_.record(core::EventKind::kFailurePoint, 0, flight_.intern(point), hits);
+    flight_.record_named(core::EventKind::kFailurePoint, 0, point, hits);
   });
   if (const char* path = std::getenv("PERSEAS_BLACKBOX"); path != nullptr && *path != '\0') {
     flight_.set_dump_path(path);

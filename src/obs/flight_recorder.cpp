@@ -48,18 +48,40 @@ void FlightRecorder::record_locked(core::EventKind kind, std::uint64_t txn,
   if (ring_.size() < capacity_) {
     ring_.push_back(e);
   } else {
-    ring_[recorded_ % capacity_] = e;
+    ring_[next_] = e;
   }
+  if (++next_ == capacity_) next_ = 0;
   ++recorded_;
+}
+
+std::uint64_t FlightRecorder::intern_locked(std::string_view s) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(s.data());
+  for (std::size_t i = 0; i < string_addrs_.size(); ++i) {
+    // Same address is not enough: a caller's buffer may since hold
+    // another string.
+    if (string_addrs_[i] == addr && strings_[i] == s) return i;
+  }
+  for (std::size_t i = 0; i < strings_.size(); ++i) {
+    if (strings_[i] == s) {
+      string_addrs_[i] = addr;
+      return i;
+    }
+  }
+  strings_.emplace_back(s);
+  string_addrs_.push_back(addr);
+  return strings_.size() - 1;
 }
 
 std::uint64_t FlightRecorder::intern(std::string_view s) {
   sync::LockGuard lock(mu_);
-  for (std::size_t i = 0; i < strings_.size(); ++i) {
-    if (strings_[i] == s) return i;
-  }
-  strings_.emplace_back(s);
-  return strings_.size() - 1;
+  return intern_locked(s);
+}
+
+void FlightRecorder::record_named(core::EventKind kind, std::uint64_t txn,
+                                  std::string_view name, std::uint64_t b, std::uint64_t c) {
+  sync::LockGuard lock(mu_);
+  const std::uint64_t id = intern_locked(name);
+  if (enabled_) record_locked(kind, txn, id, b, c);
 }
 
 std::string FlightRecorder::interned(std::uint64_t id) const {
@@ -98,10 +120,9 @@ std::vector<FlightEvent> FlightRecorder::events_locked(std::size_t n) const {
   const std::size_t want = (n == 0 || n > held) ? held : n;
   std::vector<FlightEvent> out;
   out.reserve(want);
-  // The oldest retained event sits at recorded_ % capacity_ once the ring
-  // has wrapped; before that the ring is a plain prefix array.
-  const std::size_t first =
-      (held < capacity_) ? 0 : static_cast<std::size_t>(recorded_ % capacity_);
+  // The oldest retained event sits at next_ once the ring has wrapped;
+  // before that the ring is a plain prefix array.
+  const std::size_t first = (held < capacity_) ? 0 : next_;
   for (std::size_t i = held - want; i < held; ++i) {
     out.push_back(ring_[(first + i) % capacity_]);
   }
@@ -206,8 +227,7 @@ std::string FlightRecorder::dump_path() const {
 
 void FlightRecorder::note_anomaly(std::string_view what) noexcept {
   try {
-    const std::uint64_t id = intern(what);
-    record(core::EventKind::kAnomaly, 0, id);
+    record_named(core::EventKind::kAnomaly, 0, what);
     const std::string path = dump_path();
     if (!path.empty()) dump(path);
   } catch (...) {

@@ -71,6 +71,13 @@ class FlightRecorder {
   /// word.  Repeated strings share one id; the table is part of the dump.
   [[nodiscard]] std::uint64_t intern(std::string_view s);
 
+  /// record(kind, txn, intern(name), b, c) under one lock acquisition, so
+  /// that concurrent callers' events land in the order of their calls.
+  /// The name is interned even while the recorder is disabled, exactly as
+  /// a separate intern() would.
+  void record_named(core::EventKind kind, std::uint64_t txn, std::string_view name,
+                    std::uint64_t b = 0, std::uint64_t c = 0);
+
   /// The interned string for `id` ("?" when out of range).
   [[nodiscard]] std::string interned(std::uint64_t id) const;
 
@@ -117,6 +124,7 @@ class FlightRecorder {
  private:
   void record_locked(core::EventKind kind, std::uint64_t txn, std::uint64_t a,
                      std::uint64_t b, std::uint64_t c) PERSEAS_REQUIRES(mu_);
+  [[nodiscard]] std::uint64_t intern_locked(std::string_view s) PERSEAS_REQUIRES(mu_);
   [[nodiscard]] std::vector<FlightEvent> events_locked(std::size_t n) const
       PERSEAS_REQUIRES(mu_);
   void dump_locked(const std::string& path) const PERSEAS_REQUIRES(mu_);
@@ -125,9 +133,16 @@ class FlightRecorder {
   const std::size_t capacity_;
   mutable sync::Mutex mu_;
   std::vector<FlightEvent> ring_ PERSEAS_GUARDED_BY(mu_);
+  /// Slot the next event overwrites once the ring is full (the oldest).
+  std::size_t next_ PERSEAS_GUARDED_BY(mu_) = 0;
   std::uint64_t recorded_ PERSEAS_GUARDED_BY(mu_) = 0;
   bool enabled_ PERSEAS_GUARDED_BY(mu_) = true;
   std::vector<std::string> strings_ PERSEAS_GUARDED_BY(mu_);
+  /// Per interned string, the address it was last passed from.  Callers
+  /// pass the same literal each time, so a lookup by address skips the
+  /// string scan.  Kept as integers: the buffer may be long gone, and the
+  /// address is only ever compared.
+  std::vector<std::uintptr_t> string_addrs_ PERSEAS_GUARDED_BY(mu_);
   std::string dump_path_ PERSEAS_GUARDED_BY(mu_);
 };
 

@@ -1,9 +1,14 @@
-// CRC-32C (Castagnoli), table-driven, for integrity-checking log entries.
+// CRC-32C (Castagnoli), for integrity-checking log entries.
 //
 // The remote undo log is the single structure recovery depends on while a
 // commit is in flight; a checksum per entry lets recovery distinguish the
 // clean end of the log (stale bytes with a wrong magic) from actual
 // corruption of an entry it needs.
+//
+// crc32c() uses the CPU's CRC32C instruction where the host has one (x86-64
+// SSE4.2, detected once at run time) and the byte-at-a-time table below
+// otherwise.  Both compute the same polynomial with the same bit order, so
+// every checksum is identical whichever path ran.
 #pragma once
 
 #include <array>
@@ -29,19 +34,26 @@ constexpr std::array<std::uint32_t, 256> make_crc32c_table() {
 
 inline constexpr std::array<std::uint32_t, 256> kCrc32cTable = make_crc32c_table();
 
+/// The table path: the fallback, and the reference the hardware path is
+/// tested against.
+[[nodiscard]] std::uint32_t crc32c_table(std::span<const std::byte> data,
+                                         std::uint32_t seed) noexcept;
+
+#if defined(__x86_64__)
+/// True when the host CPU has SSE4.2's crc32 instruction.
+[[nodiscard]] bool crc32c_hardware_supported() noexcept;
+
+/// The SSE4.2 path; call only when crc32c_hardware_supported().
+[[nodiscard]] std::uint32_t crc32c_hardware(std::span<const std::byte> data,
+                                            std::uint32_t seed) noexcept;
+#endif
+
 }  // namespace detail
 
 /// Incremental CRC-32C; pass the previous return value as `seed` to chain
 /// buffers.  Final value for one-shot use is just the return value.
-inline std::uint32_t crc32c(std::span<const std::byte> data,
-                            std::uint32_t seed = 0xffffffffu) {
-  std::uint32_t crc = seed;
-  for (const std::byte b : data) {
-    crc = (crc >> 8) ^
-          detail::kCrc32cTable[(crc ^ static_cast<std::uint8_t>(b)) & 0xffu];
-  }
-  return crc;
-}
+[[nodiscard]] std::uint32_t crc32c(std::span<const std::byte> data,
+                                   std::uint32_t seed = 0xffffffffu) noexcept;
 
 /// One-shot convenience producing the conventional finalized value.
 inline std::uint32_t crc32c_final(std::span<const std::byte> data) {

@@ -34,14 +34,14 @@ void FailureInjector::notify(std::string_view point) {
   // recovery code re-entering the same point does not re-fire it — and it
   // may itself call arm()/notify(), which would self-deadlock under mu_.
   std::vector<Action> due;
-  Observer observer;
-  std::uint64_t hits = 0;
   {
     sync::LockGuard lock(mu_);
     auto& pc = count_for(point);
     ++pc.hits;
-    hits = pc.hits;
-    observer = observer_;
+    // The observer runs under the lock, so it sees each point's firings in
+    // hit order, and before the armed actions: a crash action throws
+    // through this frame, and the firing must already be on record.
+    if (observer_) observer_(point, pc.hits);
     for (auto it = armed_.begin(); it != armed_.end();) {
       if (it->point == point && pc.hits >= it->fire_at_hit) {
         due.push_back(std::move(it->action));
@@ -51,9 +51,6 @@ void FailureInjector::notify(std::string_view point) {
       }
     }
   }
-  // The observer runs before the armed actions: a crash action throws
-  // through this frame, and the firing must already be on record.
-  if (observer) observer(point, hits);
   for (auto& action : due) action();
 }
 

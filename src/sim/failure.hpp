@@ -70,7 +70,7 @@ struct PowerSupply {
 /// Thread-safe: arm lists and hit counts are guarded by mu_, so
 /// instrumented library code on several worker threads can notify()
 /// concurrently.  Armed actions run *outside* the lock (they may crash
-/// nodes, throw, or re-enter arm()/notify()).
+/// nodes, throw, or re-enter arm()/notify()); the observer runs inside it.
 class FailureInjector {
  public:
   using Action = std::function<void()>;
@@ -79,8 +79,13 @@ class FailureInjector {
   /// *before* any armed action fires (so a crash action still leaves the
   /// firing on record).  The cluster wires its flight recorder here, which
   /// is how every engine's injector firings — rvm, vista, netram, perseas
-  /// — land in the blackbox with zero per-engine instrumentation.  Must
-  /// not call back into arm()/notify().
+  /// — land in the blackbox with zero per-engine instrumentation.
+  ///
+  /// Runs under the injector's lock, so it sees each point's hits in
+  /// increasing order even when several threads notify at once.  It must
+  /// therefore be short and must not block on anything that can wait for
+  /// a notify(), and must not call back into this injector at all (arm(),
+  /// notify(), hits() ... would self-deadlock).
   using Observer = std::function<void(std::string_view point, std::uint64_t hits)>;
 
   /// Arms `action` to run when `point` has been hit `after_hits` more times

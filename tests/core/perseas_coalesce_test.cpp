@@ -333,13 +333,14 @@ TEST_F(PerseasCoalesceTest, LegacyOverlappingLogStillRollsBackNewestFirst) {
 // fresh sub-ranges the commit path relies on.
 TEST_F(PerseasCoalesceTest, MergeRangeReportsFreshSubRanges) {
   std::vector<ByteRange> ranges;
-  auto fresh = merge_range(ranges, 10, 10);
+  std::vector<ByteRange> fresh;
+  merge_range(ranges, 10, 10, &fresh);
   ASSERT_EQ(fresh.size(), 1u);
   EXPECT_EQ(fresh[0].offset, 10u);
   EXPECT_EQ(fresh[0].size, 10u);
-  fresh = merge_range(ranges, 12, 4);  // fully inside
+  merge_range(ranges, 12, 4, &fresh);  // fully inside
   EXPECT_TRUE(fresh.empty());
-  fresh = merge_range(ranges, 5, 30);  // covers [5,10) and [20,35)
+  merge_range(ranges, 5, 30, &fresh);  // covers [5,10) and [20,35)
   ASSERT_EQ(fresh.size(), 2u);
   EXPECT_EQ(fresh[0].offset, 5u);
   EXPECT_EQ(fresh[0].size, 5u);

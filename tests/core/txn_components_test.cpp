@@ -62,6 +62,35 @@ TEST(TxnContextTest, WriteSetMergesPerRecordInFirstTouchOrder) {
   EXPECT_EQ(ws[1].second[0], (ByteRange{50, 10}));
 }
 
+// A reused context starts exactly like a fresh one: nothing of the
+// previous transaction's sets, images or counters leaks into the next.
+TEST(TxnContextTest, ResetForgetsThePreviousTransaction) {
+  TxnContext ctx(1);
+  (void)ctx.declare(2, 0, 10);
+  ctx.declare_read(3, 0, 4);
+  UndoImage u;
+  u.record = 2;
+  u.before.assign(10, std::byte{0x5A});
+  ctx.undo().push_back(std::move(u));
+  ctx.set_pushed_entries(1);
+
+  ctx.reset(9);
+  EXPECT_EQ(ctx.id(), 9u);
+  EXPECT_TRUE(ctx.write_set().empty());
+  EXPECT_TRUE(ctx.read_set().empty());
+  EXPECT_TRUE(ctx.undo().empty());
+  EXPECT_EQ(ctx.pushed_entries(), 0u);
+  EXPECT_EQ(ctx.declared_bytes(), 0u);
+
+  // Recycled storage comes back empty.
+  EXPECT_TRUE(ctx.take_buffer().empty());
+  const auto fresh = ctx.declare(2, 5, 10);
+  ASSERT_EQ(fresh.size(), 1u);
+  EXPECT_EQ(fresh[0], (ByteRange{5, 10}));
+  ASSERT_EQ(ctx.write_set().size(), 1u);
+  EXPECT_EQ(ctx.write_set()[0].second, (std::vector<ByteRange>{{5, 10}}));
+}
+
 // --- ConflictTable ----------------------------------------------------
 
 TEST(ConflictTableTest, FirstWriterWins) {
@@ -178,6 +207,31 @@ TEST(ConflictTableTest, ReleaseDropsAllClaimsOfOneTxn) {
   EXPECT_TRUE(table.empty());
 }
 
+// release() parks emptied record entries for reuse by other records: a
+// recycled entry must carry its new record's claims only.
+TEST(ConflictTableTest, RecycledRecordEntriesServeTheirNewRecord) {
+  ConflictTable table;
+  table.acquire(1, 0, 0, 10);
+  table.acquire(1, 1, 0, 10);
+  table.release(1);
+  EXPECT_TRUE(table.empty());
+
+  table.acquire(2, 7, 0, 10);
+  table.acquire(2, 8, 40, 10);
+  EXPECT_EQ(table.claims_of(2), 2u);
+  EXPECT_NO_THROW(table.acquire(3, 0, 0, 10));
+  EXPECT_NO_THROW(table.acquire(3, 1, 0, 10));
+  EXPECT_THROW(table.acquire(3, 7, 5, 10), TxnConflict);
+  EXPECT_THROW(table.acquire(3, 8, 45, 1), TxnConflict);
+  EXPECT_NO_THROW(table.acquire(3, 8, 0, 40));
+
+  table.release(2);
+  EXPECT_NO_THROW(table.acquire(4, 7, 0, 10));
+  table.release(3);
+  table.release(4);
+  EXPECT_TRUE(table.empty());
+}
+
 // --- UndoLog ----------------------------------------------------------
 
 TEST(UndoLogTest, NextUndoCapacityDoublesUntilItFits) {
@@ -202,8 +256,7 @@ class UndoLogScanTest : public ::testing::Test {
     u.record = 0;
     u.offset = offset;
     u.before.assign(size, fill);
-    const auto entry = log_.serialize(u, txn_id);
-    bytes_.insert(bytes_.end(), entry.begin(), entry.end());
+    log_.serialize(u, txn_id, bytes_);
   }
 
   MetaHeader header(std::uint64_t propagating_txn) const {

@@ -3,6 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <string_view>
+#include <thread>
+#include <vector>
+
+#include "core/event_registry.hpp"
 
 namespace perseas::netram {
 namespace {
@@ -187,6 +192,51 @@ TEST_F(ClusterTest, CrashRestartCyclesTouchOnlyWhatWasHandedOut) {
   for (NodeId id = 0; id < 2; ++id) {
     EXPECT_EQ(c.node(id).arena_bytes(), 64ull << 20);
     EXPECT_LE(c.node(id).touched_bytes(), 4096u);
+  }
+}
+
+// The cluster's flight recorder sees every injector firing in hit order,
+// even when several threads notify the same points at once: the recorder
+// call runs under the injector's lock, so no thread can record hit n+1
+// before another has recorded hit n.
+TEST_F(ClusterTest, ConcurrentFailurePointsAreRecordedInHitOrder) {
+  Cluster c(profile_, 2);
+  constexpr std::string_view kPoints[2] = {"test.concurrent.first", "test.concurrent.second"};
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 10000;
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&c, &kPoints] {
+      for (int i = 0; i < kRounds; ++i) {
+        for (const auto point : kPoints) c.failures().notify(point);
+      }
+    });
+  }
+  for (auto& w : workers) w.join();
+
+  // Interning again finds the ids the firings were recorded under: one
+  // per point, in first-seen order, and no other id on any firing.
+  obs::FlightRecorder& flight = c.flight();
+  const std::uint64_t ids[2] = {flight.intern(kPoints[0]), flight.intern(kPoints[1])};
+  EXPECT_NE(ids[0], ids[1]);
+  EXPECT_LT(ids[0], 2u);
+  EXPECT_LT(ids[1], 2u);
+  const auto events = flight.events();
+  for (int p = 0; p < 2; ++p) {
+    const std::uint64_t total = c.failures().hits(kPoints[p]);
+    ASSERT_EQ(total, static_cast<std::uint64_t>(kThreads) * kRounds);
+    std::uint64_t last = 0;
+    std::size_t seen = 0;
+    for (const obs::FlightEvent& e : events) {
+      if (e.kind != core::EventKind::kFailurePoint) continue;
+      ASSERT_TRUE(e.a == ids[0] || e.a == ids[1]) << "unknown intern id " << e.a;
+      if (e.a != ids[p]) continue;
+      EXPECT_GT(e.b, last) << kPoints[p] << ": hit " << e.b << " recorded after " << last;
+      last = e.b;
+      ++seen;
+    }
+    ASSERT_GT(seen, 0u) << kPoints[p];
+    EXPECT_EQ(last, total) << kPoints[p];
   }
 }
 

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 namespace perseas::sim {
@@ -49,6 +51,44 @@ TEST(Crc32c, ChainingMatchesOneShot) {
   const std::uint32_t chained = crc32c(right, crc32c(left)) ^ 0xffffffffu;
   EXPECT_EQ(chained, crc32c_final(whole));
 }
+
+TEST(Crc32c, TablePathKnownVector) {
+  EXPECT_EQ(detail::crc32c_table(bytes_of("123456789"), 0xffffffffu) ^ 0xffffffffu,
+            0xE3069283u);
+}
+
+#if defined(__x86_64__)
+// The hardware path must reproduce the table path bit-for-bit: every
+// length across the 8-byte word boundary and the byte tail, every start
+// alignment, and seeds carried in from a previous chunk.
+TEST(Crc32c, HardwarePathMatchesTablePath) {
+  if (!detail::crc32c_hardware_supported()) GTEST_SKIP() << "no SSE4.2 crc32 on this CPU";
+  std::vector<std::byte> buf(256 + 8);
+  std::uint32_t x = 0x12345678u;
+  for (auto& b : buf) {
+    x = x * 1664525u + 1013904223u;
+    b = static_cast<std::byte>(x >> 24);
+  }
+  const std::span<const std::byte> all(buf);
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 256; ++len) {
+      const auto data = all.subspan(start, len);
+      for (const std::uint32_t seed : {0xffffffffu, 0u, 0xE3069283u}) {
+        ASSERT_EQ(detail::crc32c_hardware(data, seed), detail::crc32c_table(data, seed))
+            << "start " << start << " len " << len << " seed " << seed;
+      }
+      // Chained in two pieces, split anywhere.
+      const std::size_t cut = len / 3;
+      const std::uint32_t hw = detail::crc32c_hardware(
+          data.subspan(cut), detail::crc32c_hardware(data.first(cut), 0xffffffffu));
+      ASSERT_EQ(hw, detail::crc32c_table(data, 0xffffffffu))
+          << "chained, start " << start << " len " << len;
+    }
+  }
+  EXPECT_EQ(detail::crc32c_hardware(bytes_of("123456789"), 0xffffffffu) ^ 0xffffffffu,
+            0xE3069283u);
+}
+#endif
 
 }  // namespace
 }  // namespace perseas::sim

@@ -11,10 +11,15 @@ ledger — attributes the overall simulated-time delta to ledger phases, so a
 latency regression arrives pre-diagnosed ("+4.1% total, +92% of it in
 remote_undo") instead of as a bare number.
 
-The "metrics" sections (counters / gauges / histograms) and the ledger
-(its by_phase aggregation, its per-transaction rows and its totals) are
-accounts, not scores: they have no better direction, so any value that
-moves beyond the tolerance either way fails the gate, and so does a key or
+Every value is gated in both directions.  A row field (mean_us,
+txns_per_second, ...) that moves beyond the tolerance fails whichever way
+it moved: a regression is reported as one, an improvement as an
+IMPROVEMENT, and both fail, because an unexplained improvement of a
+deterministic snapshot means the baseline is stale, and a stale baseline
+hides a later regression of the same size.  The "metrics" sections
+(counters / gauges / histograms) and the ledger (its by_phase aggregation,
+its per-transaction rows and its totals) are accounts, not scores: any
+value that moves beyond the tolerance fails the gate, and so does a key or
 row present in only one document (a stale snapshot or a lost export).
 Moving nanoseconds from one phase to another fails even when the total
 stays put.
@@ -22,8 +27,9 @@ stays put.
 Exit status:
     0  nothing moved beyond the tolerance (default 0%: the simulation is
        deterministic, so the committed snapshot must match bit-for-bit)
-    1  at least one unexplained regression, a metric or ledger value moved,
-       a metric key or ledger row added or removed, or invalid inputs
+    1  a row field, metric or ledger value moved beyond the tolerance
+       either way, a row, metric key or ledger row added or removed, or
+       invalid inputs
 
 Stdlib only: runs on any CI python3 without installs.
 """
@@ -35,7 +41,8 @@ import ci_json
 
 # Fields that identify a row rather than measure it.
 ID_FIELDS = ("kind", "year", "txn_bytes", "engine", "coalesce")
-# Metrics where a *decrease* is the regression direction.
+# Metrics where a *decrease* is the regression direction (this only labels
+# a move; a move beyond the tolerance fails either way).
 HIGHER_IS_BETTER = {"txns_per_second", "perseas_tps", "rvm_disk_tps",
                     "remote_wal_tps", "speedup"}
 # Sections of the "metrics" document whose key sets and values must match.
@@ -223,6 +230,7 @@ def main():
     base, cand = index_rows(base_doc, args[0]), index_rows(cand_doc, args[1])
 
     regressions = []
+    improvements = []
     changes = 0
     for key in sorted(set(base) | set(cand), key=str):
         if key not in cand:
@@ -242,14 +250,14 @@ def main():
                 continue
             changes += 1
             p = pct(vb, vc)
-            regressed = (p < -tolerance) if field in HIGHER_IS_BETTER \
-                else (p > tolerance)
-            marker = "REGRESSION" if regressed else "change"
+            worse = (p < 0) if field in HIGHER_IS_BETTER else (p > 0)
+            beyond = abs(p) > tolerance
+            marker = ("REGRESSION" if worse else "IMPROVEMENT") if beyond else "change"
             line = (f"{marker}: {fmt_key(key)} {field}: "
                     f"{vb} -> {vc} ({p:+.2f}%)")
             print(f"bench-diff: {line}")
-            if regressed:
-                regressions.append(line)
+            if beyond:
+                (regressions if worse else improvements).append(line)
 
     for line in diff_ledgers(base_doc, cand_doc):
         print(f"bench-diff:{line}")
@@ -262,9 +270,11 @@ def main():
     ledger_moves = diff_ledger_values(base_doc, cand_doc, tolerance)
     print_capped("LEDGER", ledger_moves)
 
-    if regressions:
-        print(f"bench-diff: FAIL: {len(regressions)} unexplained regression(s) "
-              f"beyond the {tolerance:g}% tolerance", file=sys.stderr)
+    if regressions or improvements:
+        print(f"bench-diff: FAIL: {len(regressions)} unexplained regression(s) and "
+              f"{len(improvements)} unexplained improvement(s) beyond the {tolerance:g}% "
+              f"tolerance (regenerate the baseline with tools/bench-trend.sh if the "
+              f"move is intended)", file=sys.stderr)
         sys.exit(1)
     if key_changes:
         print(f"bench-diff: FAIL: {len(key_changes)} metric key(s) added or removed "

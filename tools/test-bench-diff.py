@@ -2,10 +2,12 @@
 """Negative tests for tools/bench-diff.py, the BENCH_trend.json gate.
 
 Builds small perseas-bench/1 documents in a temp directory and runs the
-real script over pairs of them: identical documents must pass; a moved
-row metric, a metric key added or removed, a moved counter, gauge or
-histogram value, nanoseconds moved between two ledger phases with the
-total unchanged, and a moved ledger row must each fail.  Guards the gate
+real script over pairs of them: identical documents must pass; a row
+metric moved in either direction (a regression, and an improvement such
+as the fig6 64 B mean_us dropping 10%), a metric key added or removed, a
+moved counter, gauge or histogram value, nanoseconds moved between two
+ledger phases with the total unchanged, and a moved ledger row must each
+fail.  Guards the gate
 against reporting green because it stopped looking at part of the
 document.
 
@@ -24,7 +26,11 @@ DIFF = Path(__file__).resolve().parent / "bench-diff.py"
 BASE = {
     "schema": "perseas-bench/1",
     "bench": "bench_trend",
-    "rows": [{"kind": "trend", "year": 1997, "mean_us": 11.846}],
+    "rows": [
+        {"kind": "trend", "year": 1997, "mean_us": 11.846},
+        {"kind": "fig6", "txn_bytes": 64, "txns": 100, "mean_us": 11.846,
+         "txns_per_second": 84416.6807361},
+    ],
     "metrics": {
         "counters": {'perseas_txns_total{db="t",outcome="committed"}': 5},
         "gauges": {'perseas_mirrors{db="t"}': 1},
@@ -72,6 +78,16 @@ def main():
         moved = copy.deepcopy(BASE)
         moved["rows"][0]["mean_us"] = 12.0
         check(tmp, "row-metric-moved", moved, 1, "REGRESSION")
+
+        # A faster snapshot is just as unexplained as a slower one.
+        faster = copy.deepcopy(BASE)
+        faster["rows"][1]["mean_us"] = round(11.846 * 0.9, 4)
+        check(tmp, "fig6-mean-us-improved", faster, 1,
+              "IMPROVEMENT: kind=fig6 txn_bytes=64 mean_us: 11.846 -> 10.6614")
+
+        tps_up = copy.deepcopy(BASE)
+        tps_up["rows"][1]["txns_per_second"] = 90000.0
+        check(tmp, "fig6-tps-improved", tps_up, 1, "1 unexplained improvement(s)")
 
         added = copy.deepcopy(BASE)
         added["metrics"]["counters"]['perseas_cc_waits_total{db="t"}'] = 0
