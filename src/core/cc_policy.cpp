@@ -65,7 +65,6 @@ std::optional<CcRejection> WaitDie::on_declare(std::uint64_t txn, std::uint32_t 
 }
 
 void ValidateAtCommit::on_begin(std::uint64_t txn) {
-  sync::LockGuard lock(mu_);
   begin_seq_[txn] = commit_seq_;
 }
 
@@ -80,7 +79,6 @@ std::optional<CcRejection> ValidateAtCommit::on_declare(std::uint64_t txn, std::
 }
 
 std::uint64_t ValidateAtCommit::on_validate(const TxnContext& ctx) {
-  sync::LockGuard lock(mu_);
   if (ctx.read_set().empty()) return 0;
   const auto it = begin_seq_.find(ctx.id());
   const std::uint64_t begin = it != begin_seq_.end() ? it->second : 0;
@@ -95,22 +93,20 @@ std::uint64_t ValidateAtCommit::on_validate(const TxnContext& ctx) {
 }
 
 void ValidateAtCommit::on_commit(const TxnContext& ctx) {
-  sync::LockGuard lock(mu_);
   if (!ctx.write_set().empty()) {
     history_.push_back(CommittedWrites{++commit_seq_, ctx.id(), ctx.write_set()});
   }
   begin_seq_.erase(ctx.id());
-  prune_locked();
+  prune();
 }
 
 void ValidateAtCommit::on_release(std::uint64_t txn) noexcept {
   table_.release(txn);
-  sync::LockGuard lock(mu_);
   begin_seq_.erase(txn);
-  prune_locked();
+  prune();
 }
 
-void ValidateAtCommit::prune_locked() {
+void ValidateAtCommit::prune() {
   // Snapshots at or below every open transaction's begin point can never
   // be consulted again.  With no transaction open the whole history drops.
   std::uint64_t min_begin = commit_seq_;
@@ -123,7 +119,6 @@ void ValidateAtCommit::prune_locked() {
 }
 
 std::size_t ValidateAtCommit::history_size() const noexcept {
-  sync::LockGuard lock(mu_);
   return history_.size();
 }
 

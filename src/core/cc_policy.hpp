@@ -12,7 +12,9 @@
 // (validate-at-commit OCC).
 //
 // Perseas consults the policy at four protocol moments, all under its
-// orchestration lock, and performs every observable action (stats, flight
+// orchestration lock (it declares the policy PERSEAS_PT_GUARDED_BY
+// Perseas::mu_, so the policies and their claim tables keep no lock of
+// their own), and performs every observable action (stats, flight
 // events, simulated charges, failure-point notifies, the TxnConflict
 // throw) itself — the policy is pure decision logic, which keeps the
 // static verifier's call graph (tools/perseas-verify.py) anchored in
@@ -183,19 +185,14 @@ class ValidateAtCommit final : public CcPolicy {
     std::vector<std::pair<std::uint32_t, std::vector<ByteRange>>> write_set;
   };
 
-  void prune_locked() PERSEAS_REQUIRES(mu_);
+  void prune();
 
   ConflictTable table_;
-  /// Guards the OCC bookkeeping below (the claim table locks itself).
-  /// Every caller already holds the Perseas orchestration lock, but the
-  /// policy stays self-consistent standalone (property tests drive it
-  /// directly).
-  mutable sync::Mutex mu_;
-  std::uint64_t commit_seq_ PERSEAS_GUARDED_BY(mu_) = 0;
+  std::uint64_t commit_seq_ = 0;
   /// txn id -> commit_seq_ at its begin (erased at commit/release).
-  std::unordered_map<std::uint64_t, std::uint64_t> begin_seq_ PERSEAS_GUARDED_BY(mu_);
+  std::unordered_map<std::uint64_t, std::uint64_t> begin_seq_;
   /// Commit-ordered snapshots, pruned below min(begin_seq_).
-  std::vector<CommittedWrites> history_ PERSEAS_GUARDED_BY(mu_);
+  std::vector<CommittedWrites> history_;
 };
 
 /// The policy `config` asks for (PerseasConfig::cc_policy / cc_wait).

@@ -49,7 +49,6 @@ void ConflictTable::acquire(std::uint64_t txn, std::uint32_t record, std::uint64
 std::uint64_t ConflictTable::try_acquire(std::uint64_t txn, std::uint32_t record,
                                          std::uint64_t offset, std::uint64_t size) {
   if (size == 0) return 0;  // an empty range claims no bytes
-  sync::LockGuard lock(mu_);
   auto at = records_.find(record);
   if (at == records_.end()) {
     if (spare_.empty()) {
@@ -96,7 +95,6 @@ std::uint64_t ConflictTable::try_acquire(std::uint64_t txn, std::uint32_t record
 }
 
 void ConflictTable::release(std::uint64_t txn) noexcept {
-  sync::LockGuard lock(mu_);
   for (auto it = records_.begin(); it != records_.end();) {
     auto& claims = it->second;
     claims.erase(std::remove_if(claims.begin(), claims.end(),
@@ -113,12 +111,10 @@ void ConflictTable::release(std::uint64_t txn) noexcept {
 }
 
 bool ConflictTable::empty() const noexcept {
-  sync::LockGuard lock(mu_);
   return records_.empty();
 }
 
 std::size_t ConflictTable::claims_of(std::uint64_t txn) const noexcept {
-  sync::LockGuard lock(mu_);
   std::size_t n = 0;
   for (const auto& [rec, claims] : records_) {
     for (const Claim& c : claims) n += c.owner == txn ? 1 : 0;

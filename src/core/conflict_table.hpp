@@ -11,6 +11,11 @@
 // retrying.  Commits still serialize at the commit-point store, so the
 // figure-3 cost model per transaction is unchanged; the table itself is
 // plain local bookkeeping and charges no simulated time or traffic.
+//
+// The table keeps no lock of its own.  Inside the library it belongs to
+// the CC policy, which Perseas declares PERSEAS_PT_GUARDED_BY(Perseas::mu_),
+// so every acquire/release runs under the orchestration lock; a
+// standalone table (unit tests) is single-threaded.
 #pragma once
 
 #include <cstdint>
@@ -18,7 +23,6 @@
 #include <vector>
 
 #include "core/errors.hpp"
-#include "core/sync.hpp"
 
 namespace perseas::core {
 
@@ -96,24 +100,20 @@ class ConflictTable {
     std::uint64_t size = 0;
     std::uint64_t owner = 0;
   };
-  /// Guards the claim map: acquire/release race between concurrently open
-  /// transactions, and first-writer-wins is only meaningful if the
-  /// overlap-scan-then-insert in acquire() is atomic.
-  mutable sync::Mutex mu_;
   /// Hashed per-record claim index: acquire touches exactly the bucket of
-  /// the record it declares, so the scan under mu_ is O(claims on that
-  /// record) instead of O(records × claims) — the table mutex is the one
-  /// lock every threaded set_range crosses, and a linear record scan there
-  /// would serialize the whole frontend on cold-cache pointer chasing.
+  /// the record it declares, so the scan is O(claims on that record)
+  /// instead of O(records × claims) — every threaded set_range runs it
+  /// under the orchestration lock, and a linear record scan there would
+  /// serialize the whole frontend on cold-cache pointer chasing.
   /// Claims within a record stay unordered (a handful of ranges each).
   /// Only records with a live claim have an entry, so release() scans
   /// what is claimed, not every record ever claimed.
   using RecordMap = std::unordered_map<std::uint32_t, std::vector<Claim>>;
-  RecordMap records_ PERSEAS_GUARDED_BY(mu_);
+  RecordMap records_;
   /// Entries release() emptied, claim vector and all, kept for the next
   /// record a transaction claims, so the steady state allocates nothing.
   /// Capacity covers every entry ever made: release() is noexcept.
-  std::vector<RecordMap::node_type> spare_ PERSEAS_GUARDED_BY(mu_);
+  std::vector<RecordMap::node_type> spare_;
 };
 
 }  // namespace perseas::core

@@ -53,13 +53,11 @@ MirrorSet::Mirror& MirrorSet::add(netram::RemoteMemoryServer* server,
   Mirror m;
   m.server = server;
   create_segments(m, undo_capacity, undo_gen);
-  sync::LockGuard lock(mu_);
   mirrors_.push_back(std::move(m));
   return mirrors_.back();
 }
 
 MirrorSet::Mirror& MirrorSet::adopt(Mirror&& m) {
-  sync::LockGuard lock(mu_);
   mirrors_.push_back(std::move(m));
   return mirrors_.back();
 }
@@ -154,7 +152,6 @@ std::uint64_t MirrorSet::propagate_entries(Mirror& m, const std::vector<UndoImag
 
 void MirrorSet::rebuild(std::uint32_t index, std::span<const LocalRecord> records,
                         std::uint64_t undo_capacity, std::uint64_t undo_gen) {
-  sync::LockGuard lock(mu_);
   if (index >= mirrors_.size()) throw UsageError("rebuild_mirror: index out of range");
   Mirror& m = mirrors_[index];
 

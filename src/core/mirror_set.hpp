@@ -11,6 +11,10 @@
 // notifies and observer callbacks — stays in core/perseas.cpp; recovery
 // and failover share these primitives so a database rebuilt on another
 // workstation is byte-identical to one built fresh.
+//
+// The set keeps no lock of its own: its one owner, Perseas, declares it
+// PERSEAS_GUARDED_BY(Perseas::mu_), so membership changes and data pushes
+// alike run under the orchestration lock.
 #pragma once
 
 #include <cstdint>
@@ -20,19 +24,11 @@
 
 #include "core/perseas_config.hpp"
 #include "core/range_set.hpp"
-#include "core/sync.hpp"
 #include "core/txn_context.hpp"
 #include "netram/cluster.hpp"
 #include "netram/remote_memory.hpp"
 
 namespace perseas::core {
-
-/// One persistent record's local mapping (the unit of persistent_malloc).
-struct LocalRecord {
-  std::uint64_t local_offset = 0;
-  std::uint64_t size = 0;
-  bool mirrored = false;
-};
 
 class MirrorSet {
  public:
@@ -59,34 +55,14 @@ class MirrorSet {
   /// Appends a mirror whose segments were already connected (recovery).
   Mirror& adopt(Mirror&& m);
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_.size();
-  }
-  [[nodiscard]] bool empty() const noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_.empty();
-  }
-  [[nodiscard]] Mirror& operator[](std::size_t i) noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_[i];
-  }
-  [[nodiscard]] const Mirror& operator[](std::size_t i) const noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_[i];
-  }
-  /// The mirror list itself.  Membership is guarded by mu_, but the
-  /// returned reference escapes it: callers iterate mirrors while the set
-  /// is stable (membership only changes in attach/recovery/decommission,
-  /// never mid-transaction).
-  [[nodiscard]] std::vector<Mirror>& mirrors() noexcept {
-    sync::LockGuard lock(mu_);
-    return mirrors_;
-  }
-  void clear() noexcept {
-    sync::LockGuard lock(mu_);
-    mirrors_.clear();
-  }
+  [[nodiscard]] std::size_t size() const noexcept { return mirrors_.size(); }
+  [[nodiscard]] bool empty() const noexcept { return mirrors_.empty(); }
+  [[nodiscard]] Mirror& operator[](std::size_t i) noexcept { return mirrors_[i]; }
+  [[nodiscard]] const Mirror& operator[](std::size_t i) const noexcept { return mirrors_[i]; }
+  /// The mirror list itself (membership only changes in attach, recovery
+  /// and decommission, never mid-transaction).
+  [[nodiscard]] std::vector<Mirror>& mirrors() noexcept { return mirrors_; }
+  void clear() noexcept { mirrors_.clear(); }
 
   /// Reserves record `index`'s mirror segment (`size` bytes) on mirror `m`.
   /// `who` names the caller in the OutOfRemoteMemory message.
@@ -136,13 +112,8 @@ class MirrorSet {
   netram::NodeId local_;
   const PerseasConfig* config_;
   PerseasStats* stats_;
-  /// Guards mirror-set *membership* (add/adopt/rebuild/clear).  The data
-  /// pushes that take a Mirror& operate on one mirror's remote segments
-  /// and are serialized by the caller's transaction locking, not by mu_.
-  mutable sync::Mutex mu_;
-  std::vector<Mirror> mirrors_ PERSEAS_GUARDED_BY(mu_);
-  /// propagate_ranges()'s gather list, reused from record to record (as a
-  /// data push, serialized by the caller's transaction locking).
+  std::vector<Mirror> mirrors_;
+  /// propagate_ranges()'s gather list, reused from record to record.
   std::vector<netram::RemoteMemoryClient::GatherSlice> slices_;
 };
 

@@ -219,13 +219,13 @@ Transaction Perseas::begin_transaction() {
   // snapshot); ids are never reused, so the order is total.
   cc_->on_begin(txn_counter_);
   if (closed_.empty()) {
-    open_.push_back(std::make_unique<TxnContext>(txn_counter_));
+    open_.push_back(std::make_unique<TxnContext>(txn_counter_, records_));
     // close_context() is noexcept: room for every context it may park.
     closed_.reserve(open_.size());
   } else {
     open_.push_back(std::move(closed_.back()));
     closed_.pop_back();
-    open_.back()->reset(txn_counter_);
+    open_.back()->reset(txn_counter_, records_);
   }
   stats_.max_open_txns = std::max<std::uint64_t>(stats_.max_open_txns, open_.size());
   cluster_->flight().record(EventKind::kTxnBegin, txn_counter_, open_.size());
@@ -233,25 +233,27 @@ Transaction Perseas::begin_transaction() {
     const auto views = observer_views();
     observer_->on_begin(txn_counter_, views);
   }
-  return Transaction{this, txn_counter_};
+  return Transaction{this, open_.back().get()};
 }
 
-TxnContext* Perseas::find_context(std::uint64_t txn_id) noexcept {
-  for (auto& ctx : open_) {
-    if (ctx->id() == txn_id) return ctx.get();
-  }
-  return nullptr;
-}
-
-void Perseas::close_context(std::uint64_t txn_id) noexcept {
-  cc_->on_release(txn_id);
+void Perseas::close_context(TxnContext& ctx) noexcept {
+  cc_->on_release(ctx.id());
+  read_ranges_closed_ += ctx.read_ranges();
+  ctx.close();
   for (auto it = open_.begin(); it != open_.end(); ++it) {
-    if ((*it)->id() == txn_id) {
+    if (it->get() == &ctx) {
       closed_.push_back(std::move(*it));
       open_.erase(it);
-      return;
+      break;
     }
   }
+  count_read_ranges();
+}
+
+void Perseas::count_read_ranges() const {
+  std::uint64_t reads = read_ranges_closed_;
+  for (const auto& ctx : open_) reads += ctx->read_ranges();
+  if (stats_.read_ranges != reads) stats_.read_ranges = reads;
 }
 
 // --- transaction backends ---------------------------------------------------
@@ -259,50 +261,53 @@ void Perseas::close_context(std::uint64_t txn_id) noexcept {
 // The anomaly funnel: a PerseasError escaping a transaction backend is a
 // contract violation or a protocol defect, so it is noted on the flight
 // recorder (triggering a PERSEAS_BLACKBOX dump when configured) on its way
-// out.  TxnConflict is rethrown untouched: losing first-writer-wins is
-// ordinary protocol behaviour the caller is expected to handle by aborting.
-// No lock is held here — the *_impl bodies take mu_ themselves.
-void Perseas::txn_set_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                            std::uint64_t size) {
+// out.  A TxnConflict never passes through it: losing first-writer-wins is
+// ordinary protocol behaviour the caller is expected to handle by aborting,
+// so the *_impl bodies return the rejection and it is thrown here.  No lock
+// is held here — the bodies take mu_ themselves and have released it.
+void Perseas::txn_set_range(TxnContext& ctx, std::uint64_t txn_id, std::uint32_t record,
+                            std::uint64_t offset, std::uint64_t size) {
+  CcRejection rejection;
   try {
-    txn_set_range_impl(txn_id, record, offset, size);
-  } catch (const TxnConflict&) {
+    rejection = txn_set_range_impl(ctx, txn_id, record, offset, size);
+  } catch (const PerseasError& e) {
+    cluster_->flight().note_anomaly(e.what());
     throw;
+  }
+  if (rejection.holder != 0) {
+    throw TxnConflict(txn_id, rejection.holder, record, offset, size, rejection.reason);
+  }
+}
+
+void Perseas::txn_commit(TxnContext& ctx, std::uint64_t txn_id) {
+  std::uint64_t writer = 0;
+  try {
+    writer = txn_commit_impl(ctx, txn_id);
+  } catch (const PerseasError& e) {
+    cluster_->flight().note_anomaly(e.what());
+    throw;
+  }
+  if (writer != 0) {
+    throw TxnConflict(txn_id, writer, 0, 0, 0, AbortReason::kValidationFailed);
+  }
+}
+
+void Perseas::txn_abort(TxnContext& ctx, std::uint64_t txn_id) {
+  try {
+    txn_abort_impl(ctx, txn_id);
   } catch (const PerseasError& e) {
     cluster_->flight().note_anomaly(e.what());
     throw;
   }
 }
 
-void Perseas::txn_commit(std::uint64_t txn_id) {
-  try {
-    txn_commit_impl(txn_id);
-  } catch (const TxnConflict&) {
-    throw;
-  } catch (const PerseasError& e) {
-    cluster_->flight().note_anomaly(e.what());
-    throw;
-  }
-}
-
-void Perseas::txn_abort(std::uint64_t txn_id) {
-  try {
-    txn_abort_impl(txn_id);
-  } catch (const TxnConflict&) {
-    throw;
-  } catch (const PerseasError& e) {
-    cluster_->flight().note_anomaly(e.what());
-    throw;
-  }
-}
-
-void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
-                                 std::uint64_t offset, std::uint64_t size) {
+CcRejection Perseas::txn_set_range_impl(TxnContext& ctx, std::uint64_t txn_id,
+                                        std::uint32_t record, std::uint64_t offset,
+                                        std::uint64_t size) {
   sync::LockGuard lock(mu_);
   const PhaseScope set_range_phase = open_phase(txn_id, TxnPhase::kSetRange);
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_set_range);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("set_range: transaction is not active");
+  if (ctx.id() != txn_id) throw UsageError("set_range: transaction is not active");
   if (record >= records_.size()) throw UsageError("set_range: record index out of range");
   if (size == 0) throw UsageError("set_range: empty range");
   if (offset + size > records_[record].size || offset + size < offset) {
@@ -312,8 +317,9 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   // the declaration: a rejected set_range leaves the transaction, the stats
   // and the logs exactly as they were, so the caller can abort and retry.
   // The policy only *decides*; every observable consequence (the charged
-  // wait, the stats, the flight event, the throw) happens right here so the
-  // cost model and the verifier see one declaration path for all policies.
+  // wait, the stats, the flight event) happens right here so the cost model
+  // and the verifier see one declaration path for all policies.  The caller
+  // throws the returned rejection once mu_ is released.
   if (const auto rejection = cc_->on_declare(txn_id, record, offset, size)) {
     if (rejection->wait > 0) {
       // Wait-die's timestamp wait: the older requester spends simulated
@@ -328,7 +334,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     if (rejection->reason == AbortReason::kWounded) ++stats_.txns_wounded;
     cluster_->flight().record(EventKind::kTxnConflict, txn_id, rejection->holder, record,
                               offset);
-    throw TxnConflict(txn_id, rejection->holder, record, offset, size, rejection->reason);
+    return *rejection;
   }
   if (observer_) observer_->on_set_range(txn_id, record, offset, size);
   ++stats_.set_ranges;
@@ -339,7 +345,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
   // were logged by an earlier set_range while still pristine (writes must
   // follow their covering declaration), so a second copy would duplicate
   // the first byte-for-byte.
-  const std::vector<ByteRange>& uncovered = ctx->declare(record, offset, size);
+  const std::vector<ByteRange>& uncovered = ctx.declare(record, offset, size);
   // Historical behaviour without coalescing: one full-width entry per
   // declaration.  The union is still maintained so both modes expose the
   // same write set.
@@ -358,7 +364,7 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
     UndoImage& u = entries.emplace_back();
     u.record = record;
     u.offset = r.offset;
-    u.before = ctx->take_buffer();
+    u.before = ctx.take_buffer();
     const auto src = record_bytes_locked(record).subspan(r.offset, r.size);
     u.before.assign(src.begin(), src.end());
     fresh_bytes += r.size;
@@ -386,41 +392,41 @@ void Perseas::txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record,
                      observer_.get());  // figure 3, step 2
       pushed += needed;
       cluster_->failures().notify(points::kAfterRemoteUndo);
-      ctx->undo().push_back(std::move(u));
-      ctx->set_pushed_entries(ctx->undo().size());
+      ctx.undo().push_back(std::move(u));
+      ctx.set_pushed_entries(ctx.undo().size());
     }
     remote_undo.end(pushed * mirror_set_.size());
   } else {
-    for (auto& u : entries) ctx->undo().push_back(std::move(u));
+    for (auto& u : entries) ctx.undo().push_back(std::move(u));
   }
+  return {};  // holder 0: granted
 }
 
-void Perseas::txn_read_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                             std::uint64_t size) {
-  sync::LockGuard lock(mu_);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("read_range: transaction is not active");
-  if (record >= records_.size()) throw UsageError("read_range: record index out of range");
+void Perseas::txn_read_range(TxnContext& ctx, std::uint64_t txn_id, std::uint32_t record,
+                             std::uint64_t offset, std::uint64_t size) {
+  // A context closed under this handle (a commit that failed after its
+  // commit point) reads 0 or a later transaction's id, never txn_id.
+  if (ctx.id() != txn_id) throw UsageError("read_range: transaction is not active");
+  const std::span<const LocalRecord> records = ctx.records();
+  if (record >= records.size()) throw UsageError("read_range: record index out of range");
   if (size == 0) return;  // an empty read observes nothing
-  if (offset + size > records_[record].size || offset + size < offset) {
+  if (offset + size > records[record].size || offset + size < offset) {
     throw UsageError("read_range: range exceeds record");
   }
   // Pure bookkeeping: the declared range joins the read set the validate
   // phase checks at commit.  No cost is charged (the application already
   // pays for its own loads), no protocol point fires, and the pessimistic
   // policies ignore the read set entirely — reads never block or wound.
-  ctx->declare_read(record, offset, size);
-  ++stats_.read_ranges;
+  ctx.declare_read(record, offset, size);
 }
 
-void Perseas::txn_commit_impl(std::uint64_t txn_id) {
+std::uint64_t Perseas::txn_commit_impl(TxnContext& ctx, std::uint64_t txn_id) {
   sync::LockGuard lock(mu_);
   const PhaseScope commit_phase = open_phase(txn_id, TxnPhase::kCommit);
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_commit);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("commit: no active transaction");
-  cluster_->flight().record(EventKind::kTxnCommitRequest, txn_id, ctx->undo().size(),
-                            ctx->declared_bytes());
+  if (ctx.id() != txn_id) throw UsageError("commit: no active transaction");
+  cluster_->flight().record(EventKind::kTxnCommitRequest, txn_id, ctx.undo().size(),
+                            ctx.declared_bytes());
 
   if (observer_) {
     // Nothing has been propagated yet: a CoverageError here leaves the
@@ -436,16 +442,17 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   // time); for ValidateAtCommit it is OCC backward validation of the read
   // set.  A failure here is purely local — nothing has been propagated, so
   // the caller aborts exactly as it would after a declare-time conflict.
+  // It is booked here and thrown by the caller once mu_ is released.
   {
     PhaseScope validate = open_phase(txn_id, TxnPhase::kValidate);
-    const std::uint64_t writer = cc_->on_validate(*ctx);
+    const std::uint64_t writer = cc_->on_validate(ctx);
     validate.end();
     if (writer != 0) {
       ++stats_.txns_conflicted;
       ++stats_.txns_validation_failed;
       cluster_->flight().record(EventKind::kTxnConflict, txn_id, writer, 0, 0);
       cluster_->failures().notify(points::kValidateFail);
-      throw TxnConflict(txn_id, writer, 0, 0, 0, AbortReason::kValidationFailed);
+      return writer;
     }
   }
   cluster_->failures().notify(points::kAfterValidate);
@@ -458,7 +465,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     undo_log_.reset_tail();
     PhaseScope remote_undo = open_phase(txn_id, TxnPhase::kRemoteUndo);
     std::uint64_t total = 0;
-    for (const auto& u : ctx->undo()) {
+    for (const auto& u : ctx.undo()) {
       const std::uint64_t needed = undo_entry_bytes(u.before.size());
       if (needed > std::numeric_limits<std::uint64_t>::max() - total) {
         throw OutOfRemoteMemory("commit: transaction's undo images overflow a 64-bit log");
@@ -472,7 +479,7 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     // the first pays the burst launch latency.
     undo_log_.ensure_capacity(mirror_set_, total, open_);
     bool first = true;
-    for (const auto& u : ctx->undo()) {
+    for (const auto& u : ctx.undo()) {
       undo_log_.push(mirror_set_, u, txn_id,
                      first ? netram::StreamHint::kNewBurst : netram::StreamHint::kContinuation,
                      observer_.get());
@@ -483,14 +490,14 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
     remote_undo.end(total * mirror_set_.size());
   }
 
-  if (ctx->undo().empty()) {  // read-only transaction: nothing to propagate
-    cc_->on_commit(*ctx);
-    close_context(txn_id);
+  if (ctx.undo().empty()) {  // read-only transaction: nothing to propagate
+    cc_->on_commit(ctx);
+    close_context(ctx);
     ++stats_.txns_committed;
     cluster_->flight().record(EventKind::kTxnCommitted, txn_id, 1);
     if (observer_) observer_->on_commit_complete(txn_id);
     cluster_->failures().notify(points::kCommitDone);
-    return;
+    return 0;
   }
 
   for (std::uint32_t mi = 0; mi < mirror_set_.size(); ++mi) {
@@ -514,10 +521,10 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
       // figure 3, step 3 — each record's merged dirty union exactly once,
       // gathered into shared SCI bursts (adjacent ranges share packets,
       // later bursts skip the launch latency).
-      mirror_bytes = mirror_set_.propagate_ranges(m, ctx->write_set(), records_, after_copy);
-      stats_.bytes_dedup_propagated += ctx->declared_bytes() - mirror_bytes;
+      mirror_bytes = mirror_set_.propagate_ranges(m, ctx.write_set(), records_, after_copy);
+      stats_.bytes_dedup_propagated += ctx.declared_bytes() - mirror_bytes;
     } else {
-      mirror_bytes = mirror_set_.propagate_entries(m, ctx->undo(), records_, after_copy);
+      mirror_bytes = mirror_set_.propagate_entries(m, ctx.undo(), records_, after_copy);
     }
     propagate.end(mirror_bytes, mi);
 
@@ -535,34 +542,34 @@ void Perseas::txn_commit_impl(std::uint64_t txn_id) {
   // Record the committed write set with the policy while the context is
   // still alive: ValidateAtCommit's history is built from exactly the
   // coalesced unions the mirrors just received.
-  cc_->on_commit(*ctx);
-  close_context(txn_id);
+  cc_->on_commit(ctx);
+  close_context(ctx);
   ++stats_.txns_committed;
   cluster_->flight().record(EventKind::kTxnCommitted, txn_id, 0);
   if (observer_) observer_->on_commit_complete(txn_id);
   cluster_->failures().notify(points::kCommitDone);
+  return 0;
 }
 
-void Perseas::txn_abort_impl(std::uint64_t txn_id) {
+void Perseas::txn_abort_impl(TxnContext& ctx, std::uint64_t txn_id) {
   sync::LockGuard lock(mu_);
   const PhaseScope abort_phase = open_phase(txn_id, TxnPhase::kAbort);
   cluster_->charge_cpu(local_, cluster_->profile().library.txn_abort);
-  TxnContext* ctx = find_context(txn_id);
-  if (ctx == nullptr) throw UsageError("abort: no active transaction");
+  if (ctx.id() != txn_id) throw UsageError("abort: no active transaction");
   // Purely local: the remote database was never touched (propagation only
   // happens inside commit), and stale remote undo entries are harmless
   // because propagating_txn is zero.  Newest-first restores legacy
   // (coalesce_ranges=false) overlapping entries correctly; coalesced
   // entries are disjoint, for which any order works.
   std::uint64_t bytes = 0;
-  const auto& undo = ctx->undo();
+  const auto& undo = ctx.undo();
   for (auto it = undo.rbegin(); it != undo.rend(); ++it) {
     auto dst = record_bytes_locked(it->record).subspan(it->offset, it->before.size());
     std::memcpy(dst.data(), it->before.data(), it->before.size());
     bytes += it->before.size();
   }
   cluster_->charge_local_memcpy(local_, bytes);
-  close_context(txn_id);
+  close_context(ctx);
   ++stats_.txns_aborted;
   cluster_->flight().record(EventKind::kTxnAborted, txn_id, bytes);
   if (observer_) {

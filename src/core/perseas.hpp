@@ -164,9 +164,13 @@ class Transaction {
 
  private:
   friend class Perseas;
-  Transaction(Perseas* owner, std::uint64_t id) : owner_(owner), id_(id) {}
+  Transaction(Perseas* owner, TxnContext* ctx) : owner_(owner), ctx_(ctx), id_(ctx->id()) {}
 
   Perseas* owner_ = nullptr;
+  /// The transaction's state inside owner_ (contexts live as long as their
+  /// Perseas).  Carried so read_range needs no lookup and no lock, and the
+  /// locked backends no search of the open list.
+  TxnContext* ctx_ = nullptr;
   std::uint64_t id_ = 0;
 };
 
@@ -237,12 +241,17 @@ class Perseas {
   [[nodiscard]] RecordHandle record(std::uint32_t index);
   [[nodiscard]] netram::NodeId local_node() const noexcept { return local_; }
   [[nodiscard]] std::uint32_t mirror_count() const noexcept {
+    sync::LockGuard lock(mu_);
     return static_cast<std::uint32_t>(mirror_set_.size());
   }
   /// The accumulated counters.  The reference escapes mu_ by design: it is
   /// read by tests and exporters between transactions, when no writer runs.
+  /// read_ranges is current at every commit and abort; a call also folds in
+  /// the reads of transactions still open (they count without the lock; see
+  /// count_read_ranges).
   [[nodiscard]] const PerseasStats& stats() const noexcept {
     sync::LockGuard lock(mu_);
+    count_read_ranges();
     return stats_;
   }
   [[nodiscard]] const PerseasConfig& config() const noexcept { return config_; }
@@ -344,30 +353,43 @@ class Perseas {
   /// Dumps environment-variable-owned trace/metrics (called by ~Perseas).
   void flush_owned_observability() noexcept;
 
-  /// The open transaction with this id, or nullptr.
-  [[nodiscard]] TxnContext* find_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
-  /// Closes `txn_id`'s context (kept for reuse by a later begin) and drops
-  /// its conflict-table claims (commit/abort).
-  void close_context(std::uint64_t txn_id) noexcept PERSEAS_REQUIRES(mu_);
+  /// Closes `ctx` (kept for reuse by a later begin), drops its
+  /// conflict-table claims and banks its read count (commit/abort).
+  void close_context(TxnContext& ctx) noexcept PERSEAS_REQUIRES(mu_);
+  /// Sets stats_.read_ranges to the closed transactions' reads plus the
+  /// open ones' so far, storing only when that moved: stats() callers with
+  /// no transaction work between them then only read.
+  void count_read_ranges() const PERSEAS_REQUIRES(mu_);
 
   // Transaction backends.  The public-facing three are thin anomaly
   // funnels: any PerseasError escaping the protocol body is noted on the
   // flight recorder (which dumps the blackbox when PERSEAS_BLACKBOX is
   // set) before it propagates.  TxnConflict is exempt — a first-writer-
-  // wins loss is protocol behaviour, not an anomaly.
-  void txn_set_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                     std::uint64_t size);
+  // wins loss is protocol behaviour, not an anomaly.  The *_impl bodies
+  // run under mu_ and *return* a concurrency-control rejection, already
+  // booked (stats, flight event, failure point); the funnel throws the
+  // TxnConflict after the lock is released, so building the exception and
+  // the unwinder's search never run inside the critical section.
+  void txn_set_range(TxnContext& ctx, std::uint64_t txn_id, std::uint32_t record,
+                     std::uint64_t offset, std::uint64_t size);
   /// Transaction::read_range's backend: records the range in the context's
-  /// read set.  No funnel wrapper — it charges nothing, stores nothing,
-  /// and can only throw UsageError.
-  void txn_read_range(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                      std::uint64_t size);
-  void txn_commit(std::uint64_t txn_id);
-  void txn_abort(std::uint64_t txn_id);
-  void txn_set_range_impl(std::uint64_t txn_id, std::uint32_t record, std::uint64_t offset,
-                          std::uint64_t size);
-  void txn_commit_impl(std::uint64_t txn_id);
-  void txn_abort_impl(std::uint64_t txn_id);
+  /// read set.  Takes no lock: the read set belongs to the thread holding
+  /// the Transaction, and the record table cannot change while the
+  /// transaction is open.  No funnel wrapper — it charges nothing, stores
+  /// nothing, and can only throw UsageError.
+  static void txn_read_range(TxnContext& ctx, std::uint64_t txn_id, std::uint32_t record,
+                             std::uint64_t offset, std::uint64_t size);
+  void txn_commit(TxnContext& ctx, std::uint64_t txn_id);
+  void txn_abort(TxnContext& ctx, std::uint64_t txn_id);
+  /// The set_range body; returns the policy's rejection, or a rejection
+  /// with holder 0 when the declaration was granted.
+  [[nodiscard]] CcRejection txn_set_range_impl(TxnContext& ctx, std::uint64_t txn_id,
+                                               std::uint32_t record, std::uint64_t offset,
+                                               std::uint64_t size);
+  /// The commit body; returns 0 when committed, else the committed writer
+  /// that failed the transaction's validation (the transaction stays open).
+  [[nodiscard]] std::uint64_t txn_commit_impl(TxnContext& ctx, std::uint64_t txn_id);
+  void txn_abort_impl(TxnContext& ctx, std::uint64_t txn_id);
 
   netram::Cluster* cluster_ = nullptr;
   netram::NodeId local_ = 0;
@@ -375,29 +397,35 @@ class Perseas {
   netram::RemoteMemoryClient client_;
 
   /// The orchestration lock: every library entry point (transaction
-  /// backends, allocation, shutdown, recovery) runs under it, so the
-  /// members below mutate atomically per operation.  Lock order is always
-  /// Perseas::mu_ first, component mutexes second; components never call
-  /// back into Perseas.
+  /// backends, allocation, shutdown, recovery) except read_range runs
+  /// under it, so the members below mutate atomically per operation.  It
+  /// is the only lock a transaction operation takes in core: the
+  /// components below keep none of their own.  The cluster's failure-
+  /// injector / flight-recorder lock nests inside it; nothing under that
+  /// lock calls back into Perseas.
   mutable sync::Mutex mu_;
-  PerseasStats stats_ PERSEAS_GUARDED_BY(mu_);
+  /// mutable: stats() folds open transactions' reads into read_ranges.
+  mutable PerseasStats stats_ PERSEAS_GUARDED_BY(mu_);
+  /// read_range declarations of closed transactions (open ones count in
+  /// their own context until close_context banks them here).
+  std::uint64_t read_ranges_closed_ PERSEAS_GUARDED_BY(mu_) = 0;
 
   // The components (construction order matters: they hold references to
-  // client_, config_ and stats_ above).  They guard their own state; the
-  // stats_ reference they mutate through is covered by mu_ because every
-  // component call is downstream of an entry point holding it.
-  MirrorSet mirror_set_;
-  UndoLog undo_log_;
+  // client_, config_ and stats_ above).  They keep no lock: each is
+  // guarded by mu_, so the analysis checks that every call into them —
+  // and through them every write to stats_ — happens under it.
+  MirrorSet mirror_set_ PERSEAS_GUARDED_BY(mu_);
+  UndoLog undo_log_ PERSEAS_GUARDED_BY(mu_);
   /// The concurrency-control policy (PerseasConfig::cc_policy, overridable
   /// via PERSEAS_CC).  Owns the range claim table; consulted at begin /
   /// declare / commit-validate / release.  Pure decision logic: every
   /// observable consequence (stats, charges, flight events, failure
   /// points, throws) happens here in the orchestration layer.
-  std::unique_ptr<CcPolicy> cc_;
+  std::unique_ptr<CcPolicy> cc_ PERSEAS_PT_GUARDED_BY(mu_);
 
   std::vector<LocalRecord> records_ PERSEAS_GUARDED_BY(mu_);
   /// Open transactions in begin order; each owns its TxnContext at a
-  /// stable address (Transaction handles name them by id).
+  /// stable address (Transaction handles point at it).
   std::vector<std::unique_ptr<TxnContext>> open_ PERSEAS_GUARDED_BY(mu_);
   /// Closed contexts, reused (storage and all) by the next begins; never
   /// more than the most transactions ever open at once.

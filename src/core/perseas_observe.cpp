@@ -89,6 +89,7 @@ void Perseas::flush_owned_observability() noexcept {
 
 void Perseas::export_metrics(obs::MetricsRegistry& reg) const {
   sync::LockGuard lock(mu_);
+  count_read_ranges();
   const std::string db = "db=\"" + config_.name + "\"";
   const auto count = [&](std::string_view name, std::string_view help, std::uint64_t v,
                          const std::string& labels) { reg.counter(name, help, labels).add(v); };

@@ -10,7 +10,8 @@ std::span<std::byte> RecordHandle::bytes() const {
   return owner_->record_bytes(index_);
 }
 
-Transaction::Transaction(Transaction&& other) noexcept : owner_(other.owner_), id_(other.id_) {
+Transaction::Transaction(Transaction&& other) noexcept
+    : owner_(other.owner_), ctx_(other.ctx_), id_(other.id_) {
   other.owner_ = nullptr;
 }
 
@@ -18,12 +19,13 @@ Transaction& Transaction::operator=(Transaction&& other) noexcept {
   if (this != &other) {
     if (owner_ != nullptr) {
       try {
-        owner_->txn_abort(id_);
+        owner_->txn_abort(*ctx_, id_);
       } catch (...) {
         // A crashed node during cleanup leaves recovery to the caller.
       }
     }
     owner_ = other.owner_;
+    ctx_ = other.ctx_;
     id_ = other.id_;
     other.owner_ = nullptr;
   }
@@ -33,7 +35,7 @@ Transaction& Transaction::operator=(Transaction&& other) noexcept {
 Transaction::~Transaction() {
   if (owner_ != nullptr) {
     try {
-      owner_->txn_abort(id_);
+      owner_->txn_abort(*ctx_, id_);
     } catch (...) {
       // Destructors must not throw; a node crash here surfaces at the next
       // library call or through recovery.
@@ -48,7 +50,7 @@ void Transaction::set_range(const RecordHandle& record, std::uint64_t offset,
 
 void Transaction::set_range(std::uint32_t record, std::uint64_t offset, std::uint64_t size) {
   if (!active()) throw UsageError("Transaction::set_range: transaction not active");
-  owner_->txn_set_range(id_, record, offset, size);
+  owner_->txn_set_range(*ctx_, id_, record, offset, size);
 }
 
 void Transaction::read_range(const RecordHandle& record, std::uint64_t offset,
@@ -58,7 +60,7 @@ void Transaction::read_range(const RecordHandle& record, std::uint64_t offset,
 
 void Transaction::read_range(std::uint32_t record, std::uint64_t offset, std::uint64_t size) {
   if (!active()) throw UsageError("Transaction::read_range: transaction not active");
-  owner_->txn_read_range(id_, record, offset, size);
+  Perseas::txn_read_range(*ctx_, id_, record, offset, size);
 }
 
 void Transaction::commit() {
@@ -66,7 +68,7 @@ void Transaction::commit() {
   // On failure (e.g. a mirror crashed mid-propagation) the transaction
   // stays active so the caller can abort() locally — abort needs no remote
   // traffic — and then rebuild_mirror() to restore replication.
-  owner_->txn_commit(id_);
+  owner_->txn_commit(*ctx_, id_);
   owner_ = nullptr;
 }
 
@@ -74,7 +76,7 @@ void Transaction::abort() {
   if (!active()) throw UsageError("Transaction::abort: transaction not active");
   Perseas* owner = owner_;
   owner_ = nullptr;
-  owner->txn_abort(id_);
+  owner->txn_abort(*ctx_, id_);
 }
 
 }  // namespace perseas::core

@@ -25,8 +25,10 @@ std::vector<ByteRange>& ranges_of(
 
 }  // namespace
 
-void TxnContext::reset(std::uint64_t id) {
-  id_ = id;
+void TxnContext::reset(std::uint64_t id, std::span<const LocalRecord> records) {
+  id_.store(id, std::memory_order_relaxed);
+  records_ = records;
+  read_ranges_.store(0, std::memory_order_relaxed);
   for (auto& u : undo_) spare_buffers_.push_back(std::move(u.before));
   undo_.clear();
   pushed_entries_ = 0;
@@ -46,6 +48,9 @@ const std::vector<ByteRange>& TxnContext::declare(std::uint32_t record, std::uin
 
 void TxnContext::declare_read(std::uint32_t record, std::uint64_t offset, std::uint64_t size) {
   merge_range(ranges_of(read_set_, record, spare_ranges_), offset, size);
+  // Single writer: a plain load and store, no read-modify-write.
+  read_ranges_.store(read_ranges_.load(std::memory_order_relaxed) + 1,
+                     std::memory_order_relaxed);
 }
 
 std::vector<std::byte> TxnContext::take_buffer() { return take_spare(spare_buffers_); }

@@ -82,13 +82,11 @@ void UndoLog::serialize(const UndoImage& u, std::uint64_t txn_id,
 
 void UndoLog::ensure_capacity(MirrorSet& mirrors, std::uint64_t needed,
                               std::span<const std::unique_ptr<TxnContext>> open) {
-  sync::LockGuard lock(mu_);
   if (tail_ + needed > capacity_) grow(mirrors, needed, open);
 }
 
 void UndoLog::push(MirrorSet& mirrors, const UndoImage& u, std::uint64_t txn_id,
                    netram::StreamHint hint, TxnObserver* observer) {
-  sync::LockGuard lock(mu_);
   entry_.clear();
   serialize(u, txn_id, entry_);
   const std::span<const std::byte> buf = entry_;

@@ -16,6 +16,10 @@
 // the meta header), preserving per-transaction entry order; with one
 // transaction open this is byte-identical to the historical single-txn
 // grow path.
+//
+// The log keeps no lock of its own: its one owner, Perseas, declares it
+// PERSEAS_GUARDED_BY(Perseas::mu_), so every call into it is made (and,
+// under clang, checked to be made) under the orchestration lock.
 #pragma once
 
 #include <cstdint>
@@ -26,7 +30,6 @@
 #include "core/event_registry.hpp"
 #include "core/mirror_set.hpp"
 #include "core/perseas_config.hpp"
-#include "core/sync.hpp"
 #include "core/txn_context.hpp"
 #include "netram/cluster.hpp"
 #include "netram/remote_memory.hpp"
@@ -58,28 +61,15 @@ class UndoLog {
   UndoLog(const UndoLog&) = delete;
   UndoLog& operator=(const UndoLog&) = delete;
 
-  [[nodiscard]] std::uint64_t gen() const noexcept {
-    sync::LockGuard lock(mu_);
-    return gen_;
-  }
-  [[nodiscard]] std::uint64_t capacity() const noexcept {
-    sync::LockGuard lock(mu_);
-    return capacity_;
-  }
+  [[nodiscard]] std::uint64_t gen() const noexcept { return gen_; }
+  [[nodiscard]] std::uint64_t capacity() const noexcept { return capacity_; }
   /// Bytes occupied by pushed entries (the value the commit announcement
   /// carries: recovery parses exactly this prefix).
-  [[nodiscard]] std::uint64_t tail() const noexcept {
-    sync::LockGuard lock(mu_);
-    return tail_;
-  }
+  [[nodiscard]] std::uint64_t tail() const noexcept { return tail_; }
 
-  void set_capacity(std::uint64_t capacity) noexcept {
-    sync::LockGuard lock(mu_);
-    capacity_ = capacity;
-  }
+  void set_capacity(std::uint64_t capacity) noexcept { capacity_ = capacity; }
   /// Adopts the generation + capacity of a recovered segment.
   void attach(std::uint64_t gen, std::uint64_t capacity) noexcept {
-    sync::LockGuard lock(mu_);
     gen_ = gen;
     capacity_ = capacity;
     tail_ = 0;
@@ -88,7 +78,6 @@ class UndoLog {
   /// first begin with no other transaction open, or the start of a lazy
   /// commit — lazy mode pushes only inside the synchronous commit itself).
   void reset_tail() noexcept {
-    sync::LockGuard lock(mu_);
     if (tail_ != 0) {
       cluster_->flight().record(EventKind::kUndoTruncate, 0, tail_);
     }
@@ -166,21 +155,20 @@ class UndoLog {
 
  private:
   void grow(MirrorSet& mirrors, std::uint64_t needed_bytes,
-            std::span<const std::unique_ptr<TxnContext>> open) PERSEAS_REQUIRES(mu_);
+            std::span<const std::unique_ptr<TxnContext>> open);
 
   netram::Cluster* cluster_;
   netram::RemoteMemoryClient* client_;
   const PerseasConfig* config_;
   PerseasStats* stats_;
 
-  /// Guards the shared log cursor: several open transactions' eager pushes
+  /// The shared log cursor: several open transactions' eager pushes
   /// interleave at tail_, and growth republishes gen_/capacity_ together.
-  mutable sync::Mutex mu_;
-  std::uint64_t gen_ PERSEAS_GUARDED_BY(mu_) = 0;
-  std::uint64_t capacity_ PERSEAS_GUARDED_BY(mu_) = 0;
-  std::uint64_t tail_ PERSEAS_GUARDED_BY(mu_) = 0;
+  std::uint64_t gen_ = 0;
+  std::uint64_t capacity_ = 0;
+  std::uint64_t tail_ = 0;
   /// push()'s serialized entry (storage reused from push to push).
-  std::vector<std::byte> entry_ PERSEAS_GUARDED_BY(mu_);
+  std::vector<std::byte> entry_;
 };
 
 }  // namespace perseas::core

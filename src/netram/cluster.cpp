@@ -10,9 +10,26 @@
 #include "obs/trace.hpp"
 
 namespace perseas::netram {
+namespace {
+
+/// The failure injector's observer: records each firing on the flight
+/// recorder, which shares the injector's lock and so is already locked.
+struct RecordFailurePoint {
+  obs::FlightRecorder* flight;
+
+  void operator()(std::string_view point, std::uint64_t hits) const
+      PERSEAS_REQUIRES(flight->mutex()) {
+    flight->record_named_locked(core::EventKind::kFailurePoint, 0, point, hits);
+  }
+};
+
+}  // namespace
 
 Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& config)
-    : profile_(profile), link_(profile.sci), rng_(config.seed), flight_(clock_) {
+    : profile_(profile),
+      link_(profile.sci),
+      rng_(config.seed),
+      flight_(clock_, failures_.mutex()) {
   if (config.node_count == 0) throw std::invalid_argument("Cluster: need at least one node");
   nodes_.reserve(config.node_count);
   for (std::uint32_t i = 0; i < config.node_count; ++i) {
@@ -26,10 +43,9 @@ Cluster::Cluster(const sim::HardwareProfile& profile, const ClusterConfig& confi
   // Every injector firing — any engine, any layer — lands in the blackbox.
   // The observer runs under the injector's lock and before armed actions,
   // so each point's firings are recorded in hit order, and a
-  // crash-injecting action still leaves its firing on record.
-  failures_.set_observer([this](std::string_view point, std::uint64_t hits) {
-    flight_.record_named(core::EventKind::kFailurePoint, 0, point, hits);
-  });
+  // crash-injecting action still leaves its firing on record.  The
+  // recorder shares that lock, so recording takes no second one.
+  failures_.set_observer(RecordFailurePoint{&flight_});
   if (const char* path = std::getenv("PERSEAS_BLACKBOX"); path != nullptr && *path != '\0') {
     flight_.set_dump_path(path);
   }

@@ -161,7 +161,8 @@ class Cluster {
   std::vector<std::unique_ptr<Node>> nodes_;
   std::vector<sim::PowerSupply> supplies_;
   NetworkStats stats_;
-  obs::FlightRecorder flight_;           ///< always-on; reads clock_ only
+  /// Always-on; reads clock_ only, and locks failures_'s mutex.
+  obs::FlightRecorder flight_;
   obs::TraceRecorder* trace_ = nullptr;  ///< not owned; null = tracing off
   std::uint32_t trace_track_ = 0;
   obs::CostLedger* ledger_ = nullptr;  ///< not owned; null = no attribution

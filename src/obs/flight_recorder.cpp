@@ -32,8 +32,9 @@ void put_str(std::string& out, std::string_view s) {
 
 }  // namespace
 
-FlightRecorder::FlightRecorder(const sim::SimClock& clock, std::size_t capacity)
-    : clock_(&clock), capacity_(capacity == 0 ? 1 : capacity) {}
+FlightRecorder::FlightRecorder(const sim::SimClock& clock, sync::Mutex& mu,
+                               std::size_t capacity)
+    : clock_(&clock), capacity_(capacity == 0 ? 1 : capacity), mu_(mu) {}
 
 void FlightRecorder::record(core::EventKind kind, std::uint64_t txn, std::uint64_t a,
                             std::uint64_t b, std::uint64_t c) noexcept {
@@ -80,6 +81,12 @@ std::uint64_t FlightRecorder::intern(std::string_view s) {
 void FlightRecorder::record_named(core::EventKind kind, std::uint64_t txn,
                                   std::string_view name, std::uint64_t b, std::uint64_t c) {
   sync::LockGuard lock(mu_);
+  record_named_locked(kind, txn, name, b, c);
+}
+
+void FlightRecorder::record_named_locked(core::EventKind kind, std::uint64_t txn,
+                                         std::string_view name, std::uint64_t b,
+                                         std::uint64_t c) {
   const std::uint64_t id = intern_locked(name);
   if (enabled_) record_locked(kind, txn, id, b, c);
 }
@@ -136,24 +143,41 @@ std::vector<FlightEvent> FlightRecorder::events(std::size_t n) const {
 
 std::string render_flight_event(const FlightEvent& e,
                                 const std::vector<std::string>& strings) {
+  // Built by appending pieces: g++ 12's -Wrestrict misfires on
+  // `"literal" + std::string&&` at -O3.
   const core::EventInfo* info = core::find_event(e.kind);
-  std::string line = "@" + std::to_string(e.ts) + "ns ";
-  line += (e.txn != 0) ? "txn=" + std::to_string(e.txn) : std::string("-");
+  std::string line = "@";
+  line += std::to_string(e.ts);
+  line += "ns ";
+  if (e.txn != 0) {
+    line += "txn=";
+    line += std::to_string(e.txn);
+  } else {
+    line += "-";
+  }
   line += " ";
-  line += (info != nullptr) ? info->name
-                            : "kind#" + std::to_string(static_cast<unsigned>(e.kind));
+  if (info != nullptr) {
+    line += info->name;
+  } else {
+    line += "kind#";
+    line += std::to_string(static_cast<unsigned>(e.kind));
+  }
   const char* labels[3] = {info ? info->a : "a", info ? info->b : "b", info ? info->c : "c"};
   const std::uint64_t words[3] = {e.a, e.b, e.c};
   for (int i = 0; i < 3; ++i) {
     std::string_view label = labels[i];
     if (label.empty()) continue;
-    if (label.front() == '$') {
-      label.remove_prefix(1);
-      const std::string& s =
-          (words[i] < strings.size()) ? strings[words[i]] : "?";
-      line += " " + std::string(label) + "=" + s;
+    const bool interned = label.front() == '$';
+    if (interned) label.remove_prefix(1);
+    line += " ";
+    line += label;
+    line += "=";
+    if (!interned) {
+      line += std::to_string(words[i]);
+    } else if (words[i] < strings.size()) {
+      line += strings[words[i]];
     } else {
-      line += " " + std::string(label) + "=" + std::to_string(words[i]);
+      line += "?";
     }
   }
   return line;

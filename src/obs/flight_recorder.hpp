@@ -56,8 +56,11 @@ class FlightRecorder {
   static constexpr std::size_t kDefaultCapacity = 4096;
 
   /// `clock` must outlive the recorder; it is only read, never advanced.
-  explicit FlightRecorder(const sim::SimClock& clock,
-                          std::size_t capacity = kDefaultCapacity);
+  /// `mu` guards the ring and must outlive the recorder too: the cluster
+  /// passes its failure injector's, so a failure-point firing records its
+  /// event under the one lock it already holds.
+  FlightRecorder(const sim::SimClock& clock, sync::Mutex& mu,
+                 std::size_t capacity = kDefaultCapacity);
 
   FlightRecorder(const FlightRecorder&) = delete;
   FlightRecorder& operator=(const FlightRecorder&) = delete;
@@ -77,6 +80,12 @@ class FlightRecorder {
   /// a separate intern() would.
   void record_named(core::EventKind kind, std::uint64_t txn, std::string_view name,
                     std::uint64_t b = 0, std::uint64_t c = 0);
+  /// record_named() for a caller that already holds mutex().
+  void record_named_locked(core::EventKind kind, std::uint64_t txn, std::string_view name,
+                           std::uint64_t b = 0, std::uint64_t c = 0) PERSEAS_REQUIRES(mu_);
+
+  /// The lock guarding the recorder (the one passed at construction).
+  [[nodiscard]] sync::Mutex& mutex() const PERSEAS_RETURN_CAPABILITY(mu_) { return mu_; }
 
   /// The interned string for `id` ("?" when out of range).
   [[nodiscard]] std::string interned(std::uint64_t id) const;
@@ -131,7 +140,7 @@ class FlightRecorder {
 
   const sim::SimClock* clock_;
   const std::size_t capacity_;
-  mutable sync::Mutex mu_;
+  sync::Mutex& mu_;
   std::vector<FlightEvent> ring_ PERSEAS_GUARDED_BY(mu_);
   /// Slot the next event overwrites once the ring is full (the oldest).
   std::size_t next_ PERSEAS_GUARDED_BY(mu_) = 0;

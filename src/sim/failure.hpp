@@ -71,6 +71,8 @@ struct PowerSupply {
 /// instrumented library code on several worker threads can notify()
 /// concurrently.  Armed actions run *outside* the lock (they may crash
 /// nodes, throw, or re-enter arm()/notify()); the observer runs inside it.
+/// A cluster's flight recorder shares mu_ (see mutex()), so the observer
+/// records a firing without taking a second lock.
 class FailureInjector {
  public:
   using Action = std::function<void()>;
@@ -138,6 +140,10 @@ class FailureInjector {
   /// two snapshots to get the exact set of stores executed by one window of
   /// work (a transaction, a recovery pass) without hard-coded point lists.
   [[nodiscard]] std::vector<PointHits> snapshot() const;
+
+  /// The lock notify() holds while it runs the observer; an observer that
+  /// guards its own state with this same mutex needs no lock of its own.
+  [[nodiscard]] sync::Mutex& mutex() const PERSEAS_RETURN_CAPABILITY(mu_) { return mu_; }
 
   /// Number of actions still armed (fired actions remove themselves); lets
   /// explorers detect an armed crash whose point was never reached.

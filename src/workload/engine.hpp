@@ -47,6 +47,12 @@ class TxnEngine {
   // single-transaction engines need no changes.  Engines whose slots can
   // collide (PERSEAS first-writer-wins) raise their conflict exception
   // from set_range_slot; the workload aborts that slot and retries.
+  //
+  // Slot ownership: a slot belongs to one thread at a time.  Different
+  // threads may drive different slots concurrently (mt_driver's worker w
+  // drives slot w), but two threads must never operate on the same slot
+  // without synchronising between them.  Engines synchronise their shared
+  // state internally and keep no lock over the slot table itself.
 
   /// How many transactions this engine can keep open at once.
   [[nodiscard]] virtual std::uint32_t max_open_txns() const noexcept { return 1; }

@@ -14,7 +14,6 @@ PerseasEngine::PerseasEngine(netram::Cluster& cluster, netram::NodeId local,
 
 void PerseasEngine::begin_slot(std::uint32_t slot) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
   if (slots_[slot]) throw core::UsageError("PerseasEngine: slot already has an open transaction");
   slots_[slot].emplace(db_.begin_transaction());
 }
@@ -22,7 +21,6 @@ void PerseasEngine::begin_slot(std::uint32_t slot) {
 void PerseasEngine::set_range_slot(std::uint32_t slot, std::uint64_t offset,
                                    std::uint64_t size) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
   if (!slots_[slot]) throw core::UsageError("PerseasEngine: set_range outside a transaction");
   slots_[slot]->set_range(record_, offset, size);
 }
@@ -30,14 +28,12 @@ void PerseasEngine::set_range_slot(std::uint32_t slot, std::uint64_t offset,
 void PerseasEngine::read_range_slot(std::uint32_t slot, std::uint64_t offset,
                                     std::uint64_t size) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
   if (!slots_[slot]) throw core::UsageError("PerseasEngine: read_range outside a transaction");
   slots_[slot]->read_range(record_, offset, size);
 }
 
 void PerseasEngine::commit_slot(std::uint32_t slot) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
   if (!slots_[slot]) throw core::UsageError("PerseasEngine: commit outside a transaction");
   slots_[slot]->commit();
   slots_[slot].reset();
@@ -45,7 +41,6 @@ void PerseasEngine::commit_slot(std::uint32_t slot) {
 
 void PerseasEngine::abort_slot(std::uint32_t slot) {
   check_slot(slot);
-  sync::LockGuard lock(mu_);
   if (!slots_[slot]) throw core::UsageError("PerseasEngine: abort outside a transaction");
   slots_[slot]->abort();
   slots_[slot].reset();

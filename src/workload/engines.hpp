@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "core/perseas.hpp"
-#include "core/sync.hpp"
 #include "disk/disk_model.hpp"
 #include "disk/disk_store.hpp"
 #include "disk/nvram_store.hpp"
@@ -49,7 +48,9 @@ class PerseasEngine final : public TxnEngine {
   /// engine exposes a fixed number of slots, each holding one open
   /// core::Transaction.  An overlapping set_range_slot raises
   /// core::TxnConflict with the slot's transaction still open — the
-  /// workload aborts the slot and retries.
+  /// workload aborts the slot and retries.  Slots follow the TxnEngine
+  /// ownership contract (engine.hpp): the engine takes no lock of its
+  /// own, so each slot operation costs the one Perseas lock at most.
   static constexpr std::uint32_t kTxnSlots = 8;
   [[nodiscard]] std::uint32_t max_open_txns() const noexcept override { return kTxnSlots; }
   void begin_slot(std::uint32_t slot) override;
@@ -68,12 +69,9 @@ class PerseasEngine final : public TxnEngine {
   netram::Cluster* cluster_;
   core::Perseas db_;
   core::RecordHandle record_;
-  /// Guards the slot table itself (which slots hold an open Transaction);
-  /// held across the forwarded operation, so a slot cannot be re-targeted
-  /// while its transaction is mid-commit.  Lock order: mu_ before the
-  /// Perseas orchestration lock (db_ never calls back into the engine).
-  sync::Mutex mu_;
-  std::array<std::optional<core::Transaction>, kTxnSlots> slots_ PERSEAS_GUARDED_BY(mu_);
+  /// Slot w's open Transaction.  Element w is only ever touched by the
+  /// thread that owns slot w, so the array needs no lock.
+  std::array<std::optional<core::Transaction>, kTxnSlots> slots_;
 };
 
 /// RVM over any stable store (disk -> "rvm-disk", Rio -> "rvm-rio").

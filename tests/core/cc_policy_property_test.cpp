@@ -13,6 +13,7 @@
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/cc_policy.hpp"
@@ -164,7 +165,7 @@ std::uint64_t churn(CcPolicy& policy, Kind kind, std::uint64_t seed, int rounds)
       RefTxn t;
       t.id = next_id++;
       t.begin_seq = commit_seq;
-      t.ctx = std::make_unique<TxnContext>(t.id);
+      t.ctx = std::make_unique<TxnContext>(t.id, std::span<const LocalRecord>{});
       policy.on_begin(t.id);
       open.push_back(std::move(t));
       continue;
@@ -284,7 +285,7 @@ TEST(CcPolicyProperty, ValidatedCommitsNeverLoseUpdates) {
       Inc t;
       t.id = next_id++;
       t.cell = static_cast<std::uint32_t>(rng.below(kCells));
-      t.ctx = std::make_unique<TxnContext>(t.id);
+      t.ctx = std::make_unique<TxnContext>(t.id, std::span<const LocalRecord>{});
       policy->on_begin(t.id);
       // The optimistic read: note the committed value, record the range.
       t.read_value = value[t.cell];
@@ -325,7 +326,7 @@ TEST(CcPolicyProperty, ValidateHistoryIsPrunedToTheOldestOpenBegin) {
 
   const auto commit_writer = [&](std::uint64_t id) {
     policy.on_begin(id);
-    TxnContext ctx(id);
+    TxnContext ctx(id, {});
     EXPECT_FALSE(policy.on_declare(id, 0, id * 16 % 256, 8).has_value());
     ctx.declare(0, id * 16 % 256, 8);
     EXPECT_EQ(policy.on_validate(ctx), 0u);

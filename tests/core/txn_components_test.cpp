@@ -27,7 +27,7 @@ static_assert(!std::is_copy_assignable_v<Perseas>);
 // --- TxnContext -------------------------------------------------------
 
 TEST(TxnContextTest, DeclareReturnsOnlyUncoveredSubranges) {
-  TxnContext ctx(7);
+  TxnContext ctx(7, {});
   EXPECT_EQ(ctx.id(), 7u);
 
   const auto first = ctx.declare(0, 100, 50);
@@ -47,7 +47,7 @@ TEST(TxnContextTest, DeclareReturnsOnlyUncoveredSubranges) {
 }
 
 TEST(TxnContextTest, WriteSetMergesPerRecordInFirstTouchOrder) {
-  TxnContext ctx(1);
+  TxnContext ctx(1, {});
   (void)ctx.declare(2, 0, 10);
   (void)ctx.declare(0, 50, 10);
   (void)ctx.declare(2, 10, 10);  // adjacent: coalesces with [0,10)
@@ -65,7 +65,7 @@ TEST(TxnContextTest, WriteSetMergesPerRecordInFirstTouchOrder) {
 // A reused context starts exactly like a fresh one: nothing of the
 // previous transaction's sets, images or counters leaks into the next.
 TEST(TxnContextTest, ResetForgetsThePreviousTransaction) {
-  TxnContext ctx(1);
+  TxnContext ctx(1, {});
   (void)ctx.declare(2, 0, 10);
   ctx.declare_read(3, 0, 4);
   UndoImage u;
@@ -74,7 +74,7 @@ TEST(TxnContextTest, ResetForgetsThePreviousTransaction) {
   ctx.undo().push_back(std::move(u));
   ctx.set_pushed_entries(1);
 
-  ctx.reset(9);
+  ctx.reset(9, {});
   EXPECT_EQ(ctx.id(), 9u);
   EXPECT_TRUE(ctx.write_set().empty());
   EXPECT_TRUE(ctx.read_set().empty());

@@ -276,9 +276,13 @@ TEST(CostLedgerWorkers, ConcurrentChargesLandInTheChargingThreadsScope) {
   for (auto& t : threads) t.join();
 
   for (int t = 0; t < kThreads; ++t) {
+    // Appended, not `"w" + std::to_string(t)`: g++ 12's -Wrestrict
+    // misfires on that form at -O3.
+    std::string phase = "w";
+    phase += std::to_string(t);
     sim::SimDuration ns = 0;
     for (const auto& e : ledger.entries()) {
-      if (e.key.phase == "w" + std::to_string(t)) ns += e.ns;
+      if (e.key.phase == phase) ns += e.ns;
     }
     EXPECT_EQ(ns, static_cast<sim::SimDuration>(t + 1) * kCharges)
         << "worker " << t << " row must hold exactly its own charges";

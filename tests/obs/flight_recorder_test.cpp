@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "core/event_registry.hpp"
+#include "core/sync.hpp"
 #include "obs/flight_recorder.hpp"
 #include "sim/clock.hpp"
 
@@ -20,7 +21,8 @@ using core::EventKind;
 
 TEST(FlightRecorder, GoldenNarrative) {
   sim::SimClock clock;
-  FlightRecorder fr(clock);
+  sync::Mutex mu;
+  FlightRecorder fr(clock, mu);
   fr.record(EventKind::kTxnBegin, 7, 1);
   clock.advance(150);
   const std::uint64_t point = fr.intern("perseas.commit.before_flag_clear");
@@ -39,7 +41,8 @@ TEST(FlightRecorder, GoldenNarrative) {
 
 TEST(FlightRecorder, ExactCapacityEdgeThenWrap) {
   sim::SimClock clock;
-  FlightRecorder fr(clock, 8);
+  sync::Mutex mu;
+  FlightRecorder fr(clock, mu, 8);
   for (std::uint64_t i = 0; i < 8; ++i) fr.record(EventKind::kTxnBegin, 1, i);
   // Exactly full: nothing dropped yet, all eight retained in order.
   EXPECT_EQ(fr.size(), 8u);
@@ -73,7 +76,8 @@ TEST(FlightRecorder, ExactCapacityEdgeThenWrap) {
 
 TEST(FlightRecorder, DisabledRecorderIsFrozen) {
   sim::SimClock clock;
-  FlightRecorder fr(clock, 8);
+  sync::Mutex mu;
+  FlightRecorder fr(clock, mu, 8);
   fr.record(EventKind::kTxnBegin, 1);
   fr.set_enabled(false);
   EXPECT_FALSE(fr.enabled());
@@ -86,7 +90,8 @@ TEST(FlightRecorder, DisabledRecorderIsFrozen) {
 
 TEST(FlightRecorder, InternSharesIds) {
   sim::SimClock clock;
-  FlightRecorder fr(clock);
+  sync::Mutex mu;
+  FlightRecorder fr(clock, mu);
   const auto a = fr.intern("perseas.commit.done");
   const auto b = fr.intern("rvm.force.after_body");
   EXPECT_EQ(fr.intern("perseas.commit.done"), a);
@@ -97,7 +102,8 @@ TEST(FlightRecorder, InternSharesIds) {
 
 TEST(FlightRecorder, DumpWritesMagicAndThrowsOnBadPath) {
   sim::SimClock clock;
-  FlightRecorder fr(clock);
+  sync::Mutex mu;
+  FlightRecorder fr(clock, mu);
   fr.record(EventKind::kTxnBegin, 1);
   const std::string path =
       ::testing::TempDir() + "/flight_recorder_test_dump.bin";
@@ -114,7 +120,8 @@ TEST(FlightRecorder, DumpWritesMagicAndThrowsOnBadPath) {
 
 TEST(FlightRecorder, NoteAnomalyRecordsAndAutoDumps) {
   sim::SimClock clock;
-  FlightRecorder fr(clock);
+  sync::Mutex mu;
+  FlightRecorder fr(clock, mu);
   const std::string path =
       ::testing::TempDir() + "/flight_recorder_test_anomaly.bin";
   std::remove(path.c_str());
